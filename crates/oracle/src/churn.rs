@@ -7,7 +7,8 @@
 //! 1. collects repair *seeds*: the failed elements' surroundings plus the
 //!    edges whose LBC certificates the wave invalidated
 //!    ([`ftspan::repair::certificates_touching`]);
-//! 2. rematerializes the effective graph `G'` and surviving spanner `H'`;
+//! 2. filters the wave out of the current graph and spanner, giving the
+//!    effective graph `G'` and surviving spanner `H'`;
 //! 3. detects pairs near the damage whose stretch bound
 //!    `d_{H'}(u, v) ≤ (2k − 1) · w(u, v)` broke;
 //! 4. repairs by re-running the modified greedy **only on the damaged
@@ -219,13 +220,12 @@ impl FaultOracle {
         seeds.sort_unstable();
         seeds.dedup();
 
-        // 2. Record damage and rematerialize the effective graphs. Both the
-        //    damage bookkeeping and the spanner filter resolve wave edge ids
-        //    against the pre-wave graph, so they run before the swap.
+        // 2. Record damage and filter the wave out of both graphs. Wave edge
+        //    ids resolve against the pre-wave graph, once, for both filters.
         self.record_damage(wave);
-        let new_spanner = self.surviving_spanner(wave);
-        let old_graph = std::mem::replace(&mut self.graph, Graph::new(0));
-        let new_graph = self.materialize_effective_graph();
+        let filter = WaveFilter::new(&self.graph, wave);
+        let new_spanner = filter.apply(&self.spanner);
+        let new_graph = filter.apply(&self.graph);
         let surviving_spanner_edges = new_spanner.edge_count();
 
         // 3. Detect broken stretch pairs near the damage.
@@ -303,11 +303,15 @@ impl FaultOracle {
         }
 
         // 6. Install the new state.
-        let mut certificates =
-            translate_certificates(&self.certificates, &old_graph, &new_graph, &outcome.spanner);
+        let old_graph = std::mem::replace(&mut self.graph, new_graph);
+        let mut certificates = translate_certificates(
+            &self.certificates,
+            &old_graph,
+            &self.graph,
+            &outcome.spanner,
+        );
         certificates.extend(outcome.certificates);
         self.certificates = certificates;
-        self.graph = new_graph;
         self.spanner = outcome.spanner;
         self.wave_scratch = scratch;
         self.invalidate_serving_state();
@@ -330,7 +334,7 @@ impl FaultOracle {
         &self.damage_vertices
     }
 
-    /// Cumulative permanently-failed edges, by endpoints in the base graph.
+    /// Cumulative permanently-failed edges, by endpoints (smaller id first).
     #[must_use]
     pub fn damaged_edges(&self) -> &[(VertexId, VertexId)] {
         &self.damage_edges
@@ -354,9 +358,7 @@ impl FaultOracle {
         match wave {
             FaultSet::Vertices(vs) => {
                 for &v in vs {
-                    if v.index() < self.base_graph.vertex_count()
-                        && !self.damage_vertices.contains(&v)
-                    {
+                    if v.index() < self.graph.vertex_count() && !self.damage_vertices.contains(&v) {
                         self.damage_vertices.push(v);
                     }
                 }
@@ -374,58 +376,51 @@ impl FaultOracle {
             }
         }
     }
+}
 
-    /// The base graph minus all accumulated damage, on the same vertex set
-    /// (failed vertices become isolated).
-    fn materialize_effective_graph(&self) -> Graph {
-        let mut dead = vec![false; self.base_graph.vertex_count()];
-        for &v in &self.damage_vertices {
-            dead[v.index()] = true;
-        }
-        let dead_edges: HashSet<(u32, u32)> = self
-            .damage_edges
-            .iter()
-            .map(|&(u, v)| (u.as_u32(), v.as_u32()))
-            .collect();
-        let mut out =
-            Graph::with_capacity(self.base_graph.vertex_count(), self.base_graph.edge_count());
-        for (_, edge) in self.base_graph.edges() {
-            let (u, v) = edge.endpoints();
-            if dead[u.index()] || dead[v.index()] {
-                continue;
+/// A wave resolved once against the pre-wave graph: dead-vertex marks plus
+/// the endpoint pairs of the wave's edges. Filtering through it keeps edge-id
+/// order, so `G ∖ W` filtered from the current graph is edge-for-edge what
+/// rebuilding the input graph minus all accumulated damage would give.
+struct WaveFilter {
+    dead: Vec<bool>,
+    /// Normalized (smaller id first) and sorted, for binary search.
+    cut: Vec<(VertexId, VertexId)>,
+}
+
+impl WaveFilter {
+    fn new(graph: &Graph, wave: &FaultSet) -> Self {
+        let mut dead = vec![false; graph.vertex_count()];
+        let mut cut = Vec::new();
+        match wave {
+            FaultSet::Vertices(vs) => {
+                for &v in vs {
+                    if let Some(mark) = dead.get_mut(v.index()) {
+                        *mark = true;
+                    }
+                }
             }
-            let key = if u <= v {
-                (u.as_u32(), v.as_u32())
-            } else {
-                (v.as_u32(), u.as_u32())
-            };
-            if dead_edges.contains(&key) {
-                continue;
+            FaultSet::Edges(es) => {
+                cut.extend(es.iter().filter_map(|&e| graph.get_edge(e)).map(|edge| {
+                    let (u, v) = edge.endpoints();
+                    (u.min(v), u.max(v))
+                }));
+                cut.sort_unstable();
             }
-            out.add_edge(u.index(), v.index(), edge.weight());
         }
-        out.compact();
-        out
+        Self { dead, cut }
     }
 
-    /// The current spanner minus the wave's elements.
-    fn surviving_spanner(&self, wave: &FaultSet) -> Graph {
-        let mut out = Graph::with_capacity(self.spanner.vertex_count(), self.spanner.edge_count());
-        for (_, edge) in self.spanner.edges() {
+    /// `graph` minus the wave, on the same vertex set (failed vertices become
+    /// isolated) with the surviving edges in their original order.
+    fn apply(&self, graph: &Graph) -> Graph {
+        let mut out = Graph::with_capacity(graph.vertex_count(), graph.edge_count());
+        for (_, edge) in graph.edges() {
             let (u, v) = edge.endpoints();
-            let killed = match wave {
-                FaultSet::Vertices(vs) => vs.contains(&u) || vs.contains(&v),
-                FaultSet::Edges(es) => es.iter().any(|&e| {
-                    self.graph
-                        .get_edge(e)
-                        .map(|ge| {
-                            let (a, b) = ge.endpoints();
-                            (a == u && b == v) || (a == v && b == u)
-                        })
-                        .unwrap_or(false)
-                }),
-            };
-            if !killed {
+            if !self.dead[u.index()]
+                && !self.dead[v.index()]
+                && self.cut.binary_search(&(u.min(v), u.max(v))).is_err()
+            {
                 out.add_edge(u.index(), v.index(), edge.weight());
             }
         }

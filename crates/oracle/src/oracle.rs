@@ -54,16 +54,15 @@ impl Default for OracleOptions {
 
 /// A query-serving engine over a fault-tolerant spanner.
 ///
-/// The oracle owns the input graph `G`, the spanner `H`, and the serving
-/// state (tree cache, metrics, accumulated damage). Queries take `&self` and
-/// are safe to issue from many threads; the churn loop
-/// ([`FaultOracle::apply_wave`](crate::churn)) takes `&mut self` because it
-/// swaps the graphs.
+/// The oracle owns one copy of the input graph — `G` minus the accumulated
+/// damage — the spanner `H`, and the serving state (tree cache, metrics,
+/// damage lists). Queries take `&self` and are safe to issue from many
+/// threads; the churn loop ([`FaultOracle::apply_wave`](crate::churn)) takes
+/// `&mut self` because it swaps the graphs.
 ///
 /// See the crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct FaultOracle {
-    pub(crate) base_graph: Graph,
     pub(crate) graph: Graph,
     pub(crate) spanner: Graph,
     pub(crate) params: SpannerParams,
@@ -123,7 +122,6 @@ impl FaultOracle {
         spanner.compact();
         let cache = Mutex::new(TreeCache::new(options.cache_capacity));
         Self {
-            base_graph: graph.clone(),
             graph,
             spanner,
             params: result.params,
@@ -138,7 +136,7 @@ impl FaultOracle {
         }
     }
 
-    /// The current effective input graph (base graph minus accumulated
+    /// The current effective input graph (the input graph minus accumulated
     /// damage). Query edge-fault identifiers refer to this graph.
     #[inline]
     #[must_use]
@@ -151,13 +149,6 @@ impl FaultOracle {
     #[must_use]
     pub fn spanner(&self) -> &Graph {
         &self.spanner
-    }
-
-    /// The pristine input graph from before any fault wave.
-    #[inline]
-    #[must_use]
-    pub fn base_graph(&self) -> &Graph {
-        &self.base_graph
     }
 
     /// The parameters the spanner targets.
@@ -196,14 +187,13 @@ impl FaultOracle {
         &self.certificates
     }
 
-    /// Heap bytes held by the serving working set: the base and effective
-    /// graphs, the spanner, and the tree cache. Certificates and damage
-    /// lists are excluded — they scale with churn history, not with what a
-    /// query touches.
+    /// Heap bytes held by the serving working set: the effective graph, the
+    /// spanner, and the tree cache. Certificates and damage lists are
+    /// excluded — they scale with churn history, not with what a query
+    /// touches.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.base_graph.memory_bytes()
-            + self.graph.memory_bytes()
+        self.graph.memory_bytes()
             + self.spanner.memory_bytes()
             + self
                 .cache
@@ -560,6 +550,20 @@ mod tests {
         assert_eq!(oracle.spanner().edge_count(), edges);
         assert_eq!(oracle.params(), params);
         assert_eq!(oracle.epoch(), 0);
+    }
+
+    #[test]
+    fn memory_accounting_counts_one_graph_copy() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut graph = generators::connected_gnp(30, 0.3, &mut rng);
+        graph.compact();
+        let oracle =
+            FaultOracle::build(graph, SpannerParams::vertex(2, 1), OracleOptions::default());
+        let empty_cache = TreeCache::new(oracle.options.cache_capacity).memory_bytes();
+        assert_eq!(
+            oracle.memory_bytes(),
+            oracle.graph().memory_bytes() + oracle.spanner().memory_bytes() + empty_cache
+        );
     }
 
     #[test]

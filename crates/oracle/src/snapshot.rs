@@ -6,8 +6,8 @@
 //! while everything the serving layer derives from it (regions, boundary
 //! index, frontiers) is a cheap pure function of the constructed state. A
 //! [`Snapshot`] therefore persists exactly the expensive, non-derivable
-//! state — graphs, spanner, parameters, certificates, accumulated damage,
-//! shard plan, epochs — and [`Snapshot::restore`] rebuilds the derived
+//! state — effective graph, spanner, parameters, certificates, accumulated
+//! damage, shard plan, epochs — and [`Snapshot::restore`] rebuilds the derived
 //! serving structures deterministically. Restored oracles give **bit-
 //! identical answers**: the graphs round-trip through
 //! [`ftspan_graph::wire`] with exact weight bits and identical CSR layout,
@@ -33,11 +33,13 @@
 //! ```
 //!
 //! `kind` is `0` for a [`FaultOracle`], `1` for a [`ShardedOracle`], `2`
-//! for a [`HierarchicalOracle`]. The
-//! version is bumped on any payload layout change; [`Snapshot::restore`]
-//! rejects unknown versions, foreign magic, checksum mismatches, and
-//! snapshots of the wrong kind with a typed [`SnapshotError`] — never a
-//! panic, since these bytes cross process boundaries.
+//! for a [`HierarchicalOracle`]. The version (currently `2`) is bumped on
+//! any payload layout change; version `1` payloads, which led with the
+//! pristine input graph, are still read (that graph is checked against the
+//! vertex set and dropped). [`Snapshot::restore`] rejects unknown versions,
+//! foreign magic, checksum mismatches, and snapshots of the wrong kind with a
+//! typed [`SnapshotError`] — never a panic, since these bytes cross process
+//! boundaries.
 //!
 //! ```
 //! use ftspan::SpannerParams;
@@ -107,7 +109,8 @@ impl core::fmt::Display for SnapshotError {
             Self::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot version {found} (this build reads version {})",
+                    "unsupported snapshot version {found} (this build reads versions {}–{})",
+                    Snapshot::V1,
                     Snapshot::VERSION
                 )
             }
@@ -190,10 +193,11 @@ pub trait Snapshottable: sealed::Sealed + Sized {
     #[doc(hidden)]
     fn encode_payload(&self, w: &mut WireWriter);
 
-    /// Decodes a payload written by [`Snapshottable::encode_payload`] and
-    /// rebuilds the derived serving state.
+    /// Decodes a payload of format `version` written by
+    /// [`Snapshottable::encode_payload`] and rebuilds the derived serving
+    /// state.
     #[doc(hidden)]
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, SnapshotError>;
+    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError>;
 }
 
 /// Capture and restore entry points for oracle snapshots. See the
@@ -204,8 +208,11 @@ pub struct Snapshot;
 impl Snapshot {
     /// The magic bytes every snapshot starts with.
     pub const MAGIC: [u8; 8] = *b"FTSPANSS";
-    /// The format version this build writes and reads.
-    pub const VERSION: u32 = 1;
+    /// The format version this build writes.
+    pub const VERSION: u32 = 2;
+    /// The oldest format version this build still reads: its payloads carry
+    /// the pristine input graph ahead of the effective graph.
+    const V1: u32 = 1;
 
     /// Serializes an oracle into self-contained snapshot bytes.
     #[must_use]
@@ -241,7 +248,7 @@ impl Snapshot {
     /// checksum, or decode to structurally invalid state.
     pub fn restore<O: Snapshottable>(bytes: &[u8]) -> Result<O, SnapshotError> {
         let mut r = WireReader::new(bytes);
-        let (kind, payload) = Self::read_header(&mut r)?;
+        let (kind, version, payload) = Self::read_header(&mut r)?;
         if kind != O::KIND {
             return Err(SnapshotError::WrongKind {
                 expected: O::KIND,
@@ -249,14 +256,16 @@ impl Snapshot {
             });
         }
         let mut payload = WireReader::new(payload);
-        let oracle = O::decode_payload(&mut payload)?;
+        let oracle = O::decode_payload(&mut payload, version)?;
         payload.finish()?;
         Ok(oracle)
     }
 
-    /// Validates magic, version, length, and checksum; returns the kind and
-    /// the checksummed payload slice.
-    fn read_header<'a>(r: &mut WireReader<'a>) -> Result<(SnapshotKind, &'a [u8]), SnapshotError> {
+    /// Validates magic, version, length, and checksum; returns the kind, the
+    /// version, and the checksummed payload slice.
+    fn read_header<'a>(
+        r: &mut WireReader<'a>,
+    ) -> Result<(SnapshotKind, u32, &'a [u8]), SnapshotError> {
         if r.take(Self::MAGIC.len())
             .map_err(|_| SnapshotError::BadMagic)?
             != Self::MAGIC
@@ -264,7 +273,7 @@ impl Snapshot {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.u32()?;
-        if version != Self::VERSION {
+        if !(Self::V1..=Self::VERSION).contains(&version) {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
         let kind = SnapshotKind::from_tag(r.u8()?)?;
@@ -275,7 +284,7 @@ impl Snapshot {
         if fnv1a64(payload) != checksum {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        Ok((kind, payload))
+        Ok((kind, version, payload))
     }
 }
 
@@ -303,7 +312,6 @@ impl Snapshottable for FaultOracle {
     const KIND: SnapshotKind = SnapshotKind::Single;
 
     fn encode_payload(&self, w: &mut WireWriter) {
-        self.base_graph.encode_wire(w);
         self.graph.encode_wire(w);
         self.spanner.encode_wire(w);
         encode_params(self.params, w);
@@ -324,15 +332,18 @@ impl Snapshottable for FaultOracle {
         w.put_u64(self.epoch);
     }
 
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, SnapshotError> {
-        let base_graph = decode_graph(r)?;
+    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError> {
+        // Version 1 led with the pristine input graph: validated, then dropped.
+        let v1_vertices = if version == Snapshot::V1 {
+            Some(decode_graph(r)?.vertex_count())
+        } else {
+            None
+        };
         let graph = decode_graph(r)?;
         let spanner = decode_graph(r)?;
         let n = graph.vertex_count();
-        if base_graph.vertex_count() != n || spanner.vertex_count() != n {
-            return Err(
-                WireError::malformed("base graph, graph, and spanner vertex sets differ").into(),
-            );
+        if spanner.vertex_count() != n || v1_vertices.is_some_and(|v1| v1 != n) {
+            return Err(WireError::malformed("snapshot graphs have different vertex sets").into());
         }
         let params = decode_params(r)?;
         let options = decode_oracle_options(r)?;
@@ -354,7 +365,6 @@ impl Snapshottable for FaultOracle {
         let epoch = r.u64()?;
         let cache = Mutex::new(TreeCache::new(options.cache_capacity));
         Ok(Self {
-            base_graph,
             graph,
             spanner,
             params,
@@ -408,8 +418,8 @@ impl Snapshottable for ShardedOracle {
         }
     }
 
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, SnapshotError> {
-        let global = FaultOracle::decode_payload(r)?;
+    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError> {
+        let global = FaultOracle::decode_payload(r, version)?;
         let n = r.len(4)?;
         if n != global.graph.vertex_count() {
             return Err(WireError::malformed(format!(
@@ -555,8 +565,8 @@ impl Snapshottable for HierarchicalOracle {
         }
     }
 
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, SnapshotError> {
-        let global = FaultOracle::decode_payload(r)?;
+    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError> {
+        let global = FaultOracle::decode_payload(r, version)?;
         let n = r.len(4)?;
         if n != global.graph.vertex_count() {
             return Err(WireError::malformed(format!(
@@ -791,6 +801,67 @@ mod tests {
         assert_eq!(Snapshot::capture(&warm), Snapshot::capture(&cold));
     }
 
+    /// Hand-encodes a version-1 snapshot of `oracle`: the v1 header, then
+    /// the payload with `leading` (the pristine input graph) in front.
+    fn v1_snapshot<O: Snapshottable>(oracle: &O, leading: &Graph) -> Vec<u8> {
+        let mut payload = WireWriter::new();
+        leading.encode_wire(&mut payload);
+        oracle.encode_payload(&mut payload);
+        let payload = payload.into_vec();
+        let mut bytes = b"FTSPANSS".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(O::KIND.tag());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
+    fn churn<O: crate::SpannerOracle>(oracle: &mut O) {
+        for wave in [
+            FaultSet::vertices([vid(3), vid(21)]),
+            FaultSet::edges([ftspan_graph::eid(5), ftspan_graph::eid(40)]),
+            FaultSet::vertices([vid(12)]),
+        ] {
+            oracle.apply_wave(&wave, &crate::ChurnConfig::default());
+        }
+    }
+
+    fn assert_same_answers<O: crate::SpannerOracle>(a: &O, b: &O) {
+        for (u, v) in [(0usize, 17usize), (4, 31), (9, 38), (8, 8)] {
+            for faults in [FaultSet::vertices([]), FaultSet::vertices([vid(5)])] {
+                assert_eq!(
+                    a.distance(vid(u), vid(v), &faults).map(f64::to_bits),
+                    b.distance(vid(u), vid(v), &faults).map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn version_one_snapshots_still_restore() {
+        let mut single = single(9);
+        churn(&mut single);
+        let v2 = Snapshot::capture(&single);
+        let old: FaultOracle =
+            Snapshot::restore(&v1_snapshot(&single, &workload(9))).expect("v1 restores");
+        assert_same_answers(&old, &single);
+        assert_eq!(Snapshot::capture(&old), v2);
+
+        let mut sharded = ShardedOracle::build(
+            workload(10),
+            SpannerParams::vertex(2, 1),
+            ShardedOptions::default(),
+        );
+        churn(&mut sharded);
+        let v2 = Snapshot::capture(&sharded);
+        let old: ShardedOracle =
+            Snapshot::restore(&v1_snapshot(&sharded, &workload(10))).expect("v1 restores");
+        assert_eq!(old.shard_epochs(), sharded.shard_epochs());
+        assert_same_answers(&old, &sharded);
+        assert_eq!(Snapshot::capture(&old), v2);
+    }
+
     #[test]
     fn peek_kind_reads_the_header_only() {
         let bytes = Snapshot::capture(&single(5));
@@ -812,7 +883,14 @@ mod tests {
 
     #[test]
     fn corruption_and_truncation_are_rejected() {
-        let bytes = Snapshot::capture(&single(7));
+        let oracle = single(7);
+        // A v1 leading graph over the wrong vertex set is a typed error.
+        let misfit = v1_snapshot(&oracle, &Graph::new(oracle.graph().vertex_count() + 1));
+        assert!(matches!(
+            Snapshot::restore::<FaultOracle>(&misfit).unwrap_err(),
+            SnapshotError::Wire(_)
+        ));
+        let bytes = Snapshot::capture(&oracle);
         // Flip one payload byte: checksum catches it.
         let mut corrupt = bytes.clone();
         *corrupt.last_mut().unwrap() ^= 0x40;

@@ -62,7 +62,7 @@ use crate::shard::ShardedOracle;
 /// Both shipped backends already are (interior mutability is confined to
 /// mutex-guarded tree caches and atomic counters).
 pub trait SpannerOracle: Send + Sync {
-    /// The current effective input graph (base graph minus accumulated
+    /// The current effective input graph (the input graph minus accumulated
     /// permanent damage). Query edge-fault identifiers refer to this graph.
     fn graph(&self) -> &Graph;
 

@@ -4,7 +4,7 @@
 use ftspan::verify::{verify_spanner, VerificationMode};
 use ftspan::{poly_greedy_spanner, sample_fault_set, FaultModel, FaultSet, SpannerParams};
 use ftspan_graph::dijkstra::{weighted_distance, DijkstraScratch};
-use ftspan_graph::{generators, vid};
+use ftspan_graph::{generators, vid, Graph, VertexId};
 use ftspan_integration_tests::rng;
 use ftspan_oracle::{
     ChurnConfig, FaultOracle, OracleOptions, Query, ShardPlanOptions, ShardedOptions, ShardedOracle,
@@ -301,6 +301,87 @@ fn long_sharded_churn_soak() {
         return;
     }
     sharded_churn_run(60, 140, 602);
+}
+
+/// `G` minus the damage lists, rebuilt from scratch in `G`'s edge order.
+fn rebuild_surviving(
+    input: &Graph,
+    dead_vertices: &[VertexId],
+    dead_edges: &[(VertexId, VertexId)],
+) -> Graph {
+    let mut out = Graph::new(input.vertex_count());
+    for (_, edge) in input.edges() {
+        let (u, v) = edge.endpoints();
+        let key = (u.min(v), u.max(v));
+        if !dead_vertices.contains(&u) && !dead_vertices.contains(&v) && !dead_edges.contains(&key)
+        {
+            out.add_edge(u.index(), v.index(), edge.weight());
+        }
+    }
+    out
+}
+
+fn assert_same_edges(got: &Graph, want: &Graph, context: &str) {
+    assert_eq!(got.vertex_count(), want.vertex_count(), "{context}");
+    assert_eq!(got.edge_count(), want.edge_count(), "{context}");
+    for ((id, a), (_, b)) in got.edges().zip(want.edges()) {
+        assert_eq!(a.endpoints(), b.endpoints(), "{context}: edge {id:?}");
+        assert_eq!(
+            a.weight().to_bits(),
+            b.weight().to_bits(),
+            "{context}: edge {id:?}"
+        );
+    }
+}
+
+/// Each wave filters itself out of the current graph instead of rebuilding
+/// from the input graph. After a seeded script of vertex and edge waves, on
+/// a unit-weight and a weighted family, through both backends, `graph()`
+/// must still equal the input graph minus the cumulative damage: same edge
+/// count and, per id, the same endpoints and weight bits.
+#[test]
+fn filtered_graph_equals_input_minus_cumulative_damage() {
+    let mut r = rng(504);
+    let unit = generators::connected_gnp(48, 0.2, &mut r);
+    let weighted = generators::with_random_weights(
+        &generators::connected_gnp(48, 0.2, &mut r),
+        1.0,
+        10.0,
+        &mut r,
+    );
+    let params = SpannerParams::vertex(2, 1);
+    let config = ChurnConfig::default();
+    for (family, input) in [("unit", unit), ("weighted", weighted)] {
+        let mut single = FaultOracle::build(input.clone(), params, OracleOptions::default());
+        let mut sharded = ShardedOracle::build(
+            input.clone(),
+            params,
+            ShardedOptions {
+                plan: ShardPlanOptions {
+                    shards: 3,
+                    ..ShardPlanOptions::default()
+                },
+                ..ShardedOptions::default()
+            },
+        );
+        for round in 0..6 {
+            let model = if round % 2 == 0 {
+                FaultModel::Vertex
+            } else {
+                FaultModel::Edge
+            };
+            let wave = sample_fault_set(single.graph(), model, 3, &[], &mut r);
+            single.apply_wave(&wave, &config);
+            sharded.apply_wave(&wave, &config);
+            let context = format!("{family} round {round}");
+            let want = rebuild_surviving(&input, single.damaged_vertices(), single.damaged_edges());
+            assert_same_edges(single.graph(), &want, &context);
+            let global = sharded.global();
+            let want = rebuild_surviving(&input, global.damaged_vertices(), global.damaged_edges());
+            assert_same_edges(sharded.graph(), &want, &context);
+        }
+        assert!(!single.damaged_vertices().is_empty() && !single.damaged_edges().is_empty());
+    }
 }
 
 /// The oracle's repair path is exercised deliberately: destroy part of the
