@@ -315,7 +315,7 @@ impl FaultOracle {
         self.spanner = outcome.spanner;
         self.wave_scratch = scratch;
         self.invalidate_serving_state();
-        self.metrics.record_wave(edges_added as u64, escalated);
+        self.metrics().record_wave(edges_added as u64, escalated);
 
         WaveOutcome {
             wave: wave.clone(),
@@ -553,11 +553,11 @@ impl ShardedOracle {
                 continue;
             }
             // The rebuilt region starts with fresh metrics; fold the retired
-            // oracle's counters into the lifetime cache statistics first.
+            // region's counters into the lifetime cache statistics first.
             let retired_ptr = std::sync::Arc::as_ptr(&self.regions[shard]);
             if !folded.contains(&retired_ptr) {
                 folded.push(retired_ptr);
-                let retired = self.regions[shard].oracle.metrics().snapshot();
+                let retired = self.regions[shard].trees.metrics().snapshot();
                 self.retired_cache_stats.0 += retired.cache_hits;
                 self.retired_cache_stats.1 += retired.trees_built;
             }
@@ -579,7 +579,6 @@ impl ShardedOracle {
                 std::sync::Arc::new(Region::build(
                     self.global.graph(),
                     self.global.spanner(),
-                    self.global.params(),
                     &self.options.oracle,
                     shard_namespace(shard),
                     &members,
@@ -589,10 +588,7 @@ impl ShardedOracle {
             rebuilt_shards.push(shard);
         }
         {
-            let mut pairs = self
-                .pair_regions
-                .lock()
-                .expect("pair region cache poisoned");
+            let mut pairs = self.pair_regions.lock();
             for region in pairs.values() {
                 // A pair interned to a leaf region stays live through the
                 // leaf's handle (and a leaf already folded above must not be
@@ -607,7 +603,7 @@ impl ShardedOracle {
                     continue;
                 }
                 folded.push(ptr);
-                let retired = region.oracle.metrics().snapshot();
+                let retired = region.trees.metrics().snapshot();
                 self.retired_cache_stats.0 += retired.cache_hits;
                 self.retired_cache_stats.1 += retired.trees_built;
             }

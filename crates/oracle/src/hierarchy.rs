@@ -26,8 +26,8 @@
 //! answers, and the `sharded_vs_single` differential suite pins all three
 //! backends to the same bits across churn waves.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use ftspan::{poly_greedy_spanner_with, FaultSet, PolyGreedyOptions, SpannerParams, SpannerResult};
 use ftspan_graph::dijkstra::DijkstraScratch;
@@ -38,7 +38,8 @@ use crate::churn::{ChurnConfig, WaveOutcome};
 use crate::oracle::{FaultOracle, OracleOptions};
 use crate::query::{Answer, Query, QueryKind};
 use crate::shard::{
-    region_signature, Region, Route, ShardPlan, ShardPlanOptions, ShardedMetrics, ShardedOptions,
+    build_regions, cache_stats, region_signature, PairRegions, Region, Route, ShardPlan,
+    ShardPlanOptions, ShardedMetrics, ShardedOptions,
 };
 
 /// Configuration of a [`HierarchicalOracle`].
@@ -55,7 +56,7 @@ pub struct HierarchicalOptions {
     /// [`ShardedOptions::halo_radius`]). `None` uses the stretch `2k − 1`.
     pub halo_radius: Option<u32>,
     /// Options of the global oracle and (with per-region cache namespaces)
-    /// of every region oracle.
+    /// of every region's tree cache.
     pub oracle: OracleOptions,
 }
 
@@ -88,6 +89,22 @@ fn group_leaves(leaf_sizes: &[usize], super_count: usize) -> Vec<u32> {
         load[lightest] += leaf_sizes[leaf];
     }
     super_of_leaf
+}
+
+/// The vertex-level super plan: vertex `i` goes to the super-shard of its
+/// leaf. `None` when some leaf has no super-shard assignment.
+pub(crate) fn compose_super_plan(
+    leaf_plan: &ShardPlan,
+    super_of_leaf: &[u32],
+) -> Option<ShardPlan> {
+    let super_of_vertex = (0..leaf_plan.vertex_count())
+        .map(|i| {
+            super_of_leaf
+                .get(leaf_plan.shard_of(VertexId::new(i)) as usize)
+                .copied()
+        })
+        .collect::<Option<Vec<u32>>>()?;
+    Some(ShardPlan::from_shard_of(super_of_vertex))
 }
 
 /// What one [`HierarchicalOracle::apply_wave`] call did.
@@ -127,7 +144,7 @@ pub struct HierarchicalOracle {
     /// One region per leaf, interned like the flat oracle's (siblings with
     /// identical member sets share one extraction).
     pub(crate) regions: Vec<Arc<Region>>,
-    pub(crate) pair_regions: Mutex<HashMap<(u32, u32), Arc<Region>>>,
+    pub(crate) pair_regions: PairRegions,
     pub(crate) leaf_epochs: Vec<u64>,
     pub(crate) halo_radius: u32,
     pub(crate) options: HierarchicalOptions,
@@ -183,33 +200,41 @@ impl HierarchicalOracle {
         .clamp(1, leaf_count.max(1));
         let leaf_sizes: Vec<usize> = (0..leaf_count).map(|l| leaf_plan.core(l).len()).collect();
         let super_of_leaf = group_leaves(&leaf_sizes, super_count);
-        let super_of_vertex: Vec<u32> = (0..leaf_plan.vertex_count())
-            .map(|i| super_of_leaf[leaf_plan.shard_of(VertexId::new(i)) as usize])
-            .collect();
-        let super_plan = ShardPlan::from_shard_of(super_of_vertex);
-
-        let boundary = BoundaryIndex::build(global.spanner(), &super_plan);
-        let mut regions: Vec<Arc<Region>> = Vec::with_capacity(leaf_count);
-        for leaf in 0..leaf_count {
-            let members = global
-                .spanner()
-                .halo_members(leaf_plan.core(leaf), halo_radius);
-            let shared = regions
-                .iter()
-                .find(|r| r.remap.members() == members.as_slice())
-                .map(Arc::clone);
-            regions.push(shared.unwrap_or_else(|| {
-                Arc::new(Region::build(
-                    global.graph(),
-                    global.spanner(),
-                    params,
-                    &options.oracle,
-                    leaf_namespace(leaf),
-                    &members,
-                ))
-            }));
-        }
+        let super_plan =
+            compose_super_plan(&leaf_plan, &super_of_leaf).expect("every leaf has a super-shard");
         let leaf_epochs = vec![0; leaf_count];
+        Self::assemble(
+            global,
+            leaf_plan,
+            super_plan,
+            super_of_leaf,
+            leaf_epochs,
+            halo_radius,
+            options,
+        )
+    }
+
+    /// Derives the serving state — the level-2 boundary index and the
+    /// interned leaf regions — from the global oracle and both plans. Cold
+    /// builds and snapshot restores both end here, so a restore serves
+    /// exactly what a build would.
+    pub(crate) fn assemble(
+        global: FaultOracle,
+        leaf_plan: ShardPlan,
+        super_plan: ShardPlan,
+        super_of_leaf: Vec<u32>,
+        leaf_epochs: Vec<u64>,
+        halo_radius: u32,
+        options: HierarchicalOptions,
+    ) -> Self {
+        let boundary = BoundaryIndex::build(global.spanner(), &super_plan);
+        let regions = build_regions(
+            &global,
+            &leaf_plan,
+            halo_radius,
+            &options.oracle,
+            leaf_namespace,
+        );
         Self {
             global,
             leaf_plan,
@@ -217,7 +242,7 @@ impl HierarchicalOracle {
             super_of_leaf,
             boundary,
             regions,
-            pair_regions: Mutex::new(HashMap::new()),
+            pair_regions: PairRegions::default(),
             leaf_epochs,
             halo_radius,
             options,
@@ -351,33 +376,12 @@ impl HierarchicalOracle {
     /// retired.
     #[must_use]
     pub fn cache_stats(&self) -> (u64, u64) {
-        let (mut hits, mut built) = self.retired_cache_stats;
-        let mut seen: Vec<*const Region> = Vec::new();
-        let mut add = |region: &Arc<Region>| {
-            let ptr = Arc::as_ptr(region);
-            if seen.contains(&ptr) {
-                return;
-            }
-            seen.push(ptr);
-            let snap = region.oracle.metrics().snapshot();
-            hits += snap.cache_hits;
-            built += snap.trees_built;
-        };
-        for region in &self.regions {
-            add(region);
-        }
-        for region in self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned")
-            .values()
-        {
-            add(region);
-        }
-        let snap = self.global.metrics().snapshot();
-        hits += snap.cache_hits;
-        built += snap.trees_built;
-        (hits, built)
+        cache_stats(
+            &self.global,
+            &self.regions,
+            &self.pair_regions,
+            self.retired_cache_stats,
+        )
     }
 
     /// Heap bytes held by the hierarchical serving state: the global
@@ -388,26 +392,8 @@ impl HierarchicalOracle {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.global.memory_bytes() + self.boundary.memory_bytes();
-        let mut seen: Vec<*const Region> = Vec::new();
-        let mut add = |region: &Arc<Region>| {
-            let ptr = Arc::as_ptr(region);
-            if seen.contains(&ptr) {
-                return;
-            }
-            seen.push(ptr);
-            bytes += region.memory_bytes();
-        };
-        for region in &self.regions {
-            add(region);
-        }
-        for region in self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned")
-            .values()
-        {
-            add(region);
-        }
+        self.pair_regions
+            .for_each_distinct(&self.regions, |region| bytes += region.memory_bytes());
         bytes
     }
 
@@ -503,43 +489,16 @@ impl HierarchicalOracle {
 
     /// Fetches (or lazily builds) the stitched pair region for two leaves.
     pub(crate) fn pair_region(&self, a: u32, b: u32) -> Arc<Region> {
-        if let Some(region) = self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned")
-            .get(&(a, b))
-        {
-            return Arc::clone(region);
-        }
-        let mut members: Vec<VertexId> = self.regions[a as usize]
-            .remap
-            .members()
-            .iter()
-            .chain(self.regions[b as usize].remap.members())
-            .copied()
-            .collect();
-        members.sort_unstable();
-        members.dedup();
-        let region = [a, b]
-            .iter()
-            .map(|&l| &self.regions[l as usize])
-            .find(|r| r.remap.members() == members.as_slice())
-            .map(Arc::clone)
-            .unwrap_or_else(|| {
-                Arc::new(Region::build(
+        self.pair_regions
+            .get_or_stitch(&self.regions, a, b, |members| {
+                Region::build(
                     self.global.graph(),
                     self.global.spanner(),
-                    self.global.params(),
                     &self.options.oracle,
                     hierarchy_pair_namespace(a, b),
-                    &members,
-                ))
-            });
-        let mut cache = self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned");
-        Arc::clone(cache.entry((a, b)).or_insert(region))
+                    members,
+                )
+            })
     }
 
     /// Applies a permanent fault wave and fans the repair out across the
@@ -575,7 +534,7 @@ impl HierarchicalOracle {
             let retired_ptr = Arc::as_ptr(&self.regions[leaf]);
             if !folded.contains(&retired_ptr) {
                 folded.push(retired_ptr);
-                let retired = self.regions[leaf].oracle.metrics().snapshot();
+                let retired = self.regions[leaf].trees.metrics().snapshot();
                 self.retired_cache_stats.0 += retired.cache_hits;
                 self.retired_cache_stats.1 += retired.trees_built;
             }
@@ -593,7 +552,6 @@ impl HierarchicalOracle {
                 Arc::new(Region::build(
                     self.global.graph(),
                     self.global.spanner(),
-                    self.global.params(),
                     &self.options.oracle,
                     leaf_namespace(leaf),
                     &members,
@@ -603,17 +561,14 @@ impl HierarchicalOracle {
             rebuilt_leaves.push(leaf);
         }
         {
-            let mut pairs = self
-                .pair_regions
-                .lock()
-                .expect("pair region cache poisoned");
+            let mut pairs = self.pair_regions.lock();
             for region in pairs.values() {
                 let ptr = Arc::as_ptr(region);
                 if folded.contains(&ptr) || self.regions.iter().any(|r| Arc::ptr_eq(r, region)) {
                     continue;
                 }
                 folded.push(ptr);
-                let retired = region.oracle.metrics().snapshot();
+                let retired = region.trees.metrics().snapshot();
                 self.retired_cache_stats.0 += retired.cache_hits;
                 self.retired_cache_stats.1 += retired.trees_built;
             }

@@ -52,6 +52,113 @@ impl Default for OracleOptions {
     }
 }
 
+/// The tree-cache path every serving structure shares — the
+/// [`FaultOracle`] and each shard, pair and leaf region: an LRU of
+/// shortest-path trees on `H ∖ F` under one cache namespace, plus the
+/// counters it feeds.
+#[derive(Debug)]
+pub(crate) struct TreeStore {
+    capacity: usize,
+    namespace: u64,
+    cache: Mutex<TreeCache>,
+    metrics: OracleMetrics,
+}
+
+impl TreeStore {
+    /// An empty store sized and namespaced by `options`.
+    pub(crate) fn new(options: &OracleOptions) -> Self {
+        Self {
+            capacity: options.cache_capacity,
+            namespace: options.cache_namespace,
+            cache: Mutex::new(TreeCache::new(options.cache_capacity)),
+            metrics: OracleMetrics::default(),
+        }
+    }
+
+    /// Derives the borrowed (allocation-free) cache key for a fault set
+    /// under this store's namespace.
+    pub(crate) fn key_ref<'a>(&self, faults: &'a FaultSet) -> KeyRef<'a> {
+        KeyRef::new(self.namespace, faults)
+    }
+
+    /// The counters every query and tree build is recorded on.
+    pub(crate) fn metrics(&self) -> &OracleMetrics {
+        &self.metrics
+    }
+
+    /// Fetches the cached tree rooted at `root` — or at `either`, when the
+    /// caller can read its answer off a tree rooted at the other endpoint —
+    /// else computes one rooted at `root` on `spanner ∖ F` and caches it.
+    /// Returns the tree and whether it was a cache hit.
+    ///
+    /// `edge_ids` names the graph the key's edge-fault ids refer to when it
+    /// is not `spanner`; the miss path translates them by endpoints. The hit
+    /// path allocates nothing beyond the `Arc` handle clone.
+    #[inline]
+    pub(crate) fn tree(
+        &self,
+        spanner: &Graph,
+        edge_ids: Option<&Graph>,
+        key: &KeyRef<'_>,
+        root: VertexId,
+        either: Option<VertexId>,
+        scratch: &mut DijkstraScratch,
+    ) -> (Arc<ShortestPathTree>, bool) {
+        if self.capacity > 0 {
+            let mut cache = self.cache.lock().expect("tree cache poisoned");
+            let hit = match either {
+                Some(other) => cache.get_either_ref(key, root, other),
+                None => cache.get_ref(key, root),
+            };
+            if let Some(tree) = hit {
+                return (tree, true);
+            }
+        }
+        (self.compute(spanner, edge_ids, key, root, scratch), false)
+    }
+
+    /// The miss path of [`TreeStore::tree`]: translating edge faults and
+    /// materializing the owned cache key may allocate.
+    #[inline(never)]
+    fn compute(
+        &self,
+        spanner: &Graph,
+        edge_ids: Option<&Graph>,
+        key: &KeyRef<'_>,
+        root: VertexId,
+        scratch: &mut DijkstraScratch,
+    ) -> Arc<ShortestPathTree> {
+        // Compute outside the lock; concurrent workers may race on the same
+        // tree, in which case the last insert simply wins.
+        let tree = Arc::new(match edge_ids {
+            Some(graph) => {
+                let spanner_faults = key.faults().translate_edges(graph, spanner);
+                scratch.shortest_path_tree(&spanner_faults.apply(spanner), root)
+            }
+            None => scratch.shortest_path_tree(&key.faults().apply(spanner), root),
+        });
+        self.metrics.record_tree_built();
+        if self.capacity > 0 {
+            let mut cache = self.cache.lock().expect("tree cache poisoned");
+            cache.insert(key.to_owned_key(), root, Arc::clone(&tree));
+        }
+        tree
+    }
+
+    /// Drops every cached tree.
+    pub(crate) fn clear(&self) {
+        self.cache.lock().expect("tree cache poisoned").clear();
+    }
+
+    /// Heap bytes held by the tree cache.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.cache
+            .lock()
+            .expect("tree cache poisoned")
+            .memory_bytes()
+    }
+}
+
 /// A query-serving engine over a fault-tolerant spanner.
 ///
 /// The oracle owns one copy of the input graph — `G` minus the accumulated
@@ -71,8 +178,7 @@ pub struct FaultOracle {
     pub(crate) damage_vertices: Vec<VertexId>,
     pub(crate) damage_edges: Vec<(VertexId, VertexId)>,
     pub(crate) epoch: u64,
-    pub(crate) cache: Mutex<TreeCache>,
-    pub(crate) metrics: OracleMetrics,
+    pub(crate) trees: TreeStore,
     /// Pooled buffers for the churn loop, alive across waves so steady-state
     /// repair never re-pays graph-sized setup allocations (see
     /// [`crate::churn::WaveScratch`]).
@@ -120,18 +226,16 @@ impl FaultOracle {
         graph.compact();
         let mut spanner = result.spanner;
         spanner.compact();
-        let cache = Mutex::new(TreeCache::new(options.cache_capacity));
         Self {
             graph,
             spanner,
             params: result.params,
+            trees: TreeStore::new(&options),
             options,
             certificates: result.certificates,
             damage_vertices: Vec::new(),
             damage_edges: Vec::new(),
             epoch: 0,
-            cache,
-            metrics: OracleMetrics::default(),
             wave_scratch: crate::churn::WaveScratch::default(),
         }
     }
@@ -169,7 +273,7 @@ impl FaultOracle {
     #[inline]
     #[must_use]
     pub fn metrics(&self) -> &OracleMetrics {
-        &self.metrics
+        self.trees.metrics()
     }
 
     /// The number of structural changes (fault waves / repairs) applied so
@@ -193,13 +297,7 @@ impl FaultOracle {
     /// touches.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.graph.memory_bytes()
-            + self.spanner.memory_bytes()
-            + self
-                .cache
-                .lock()
-                .expect("tree cache poisoned")
-                .memory_bytes()
+        self.graph.memory_bytes() + self.spanner.memory_bytes() + self.trees.memory_bytes()
     }
 
     /// Distance in `H ∖ F`, or `None` when the faults disconnect the pair
@@ -264,7 +362,7 @@ impl FaultOracle {
     /// Derives the borrowed (allocation-free) cache key for a fault set
     /// under this oracle's namespace.
     pub(crate) fn key_ref<'a>(&self, faults: &'a FaultSet) -> KeyRef<'a> {
-        KeyRef::new(self.options.cache_namespace, faults)
+        self.trees.key_ref(faults)
     }
 
     /// The cache namespace this oracle keys its trees under.
@@ -298,7 +396,7 @@ impl FaultOracle {
         tree: &ShortestPathTree,
         cache_hit: bool,
     ) -> Answer {
-        self.metrics.record_query(cache_hit);
+        self.metrics().record_query(cache_hit);
         let root = tree.source();
         let other = if root == u { v } else { u };
 
@@ -322,7 +420,10 @@ impl FaultOracle {
     }
 
     /// Fetches a cached shortest-path tree rooted at either endpoint of the
-    /// query, or computes (and caches) one rooted at `u`.
+    /// query, or computes (and caches) one rooted at `u`. The graph is
+    /// undirected, so a tree rooted at either endpoint answers the pair;
+    /// hot-source traffic hits on `u`, symmetric repeat traffic hits on `v`.
+    /// Edge-fault ids name edges of [`FaultOracle::graph`].
     pub(crate) fn tree_for(
         &self,
         key: &KeyRef<'_>,
@@ -330,64 +431,15 @@ impl FaultOracle {
         v: VertexId,
         scratch: &mut DijkstraScratch,
     ) -> (Arc<ShortestPathTree>, bool) {
-        if self.options.cache_capacity > 0 {
-            let mut cache = self.cache.lock().expect("tree cache poisoned");
-            // The graph is undirected, so a tree rooted at either endpoint
-            // answers the pair; hot-source traffic hits on `u`, symmetric
-            // repeat traffic hits on `v`. One slot scan probes both roots.
-            if let Some(tree) = cache.get_either_ref(key, u, v) {
-                return (tree, true);
-            }
-        }
-        self.compute_tree(key, u, scratch)
-    }
-
-    /// Fetches or computes the shortest-path tree rooted at exactly `root`
-    /// under the given fault set. The sharded serving layer uses this to read
-    /// frontier distances off both endpoints' trees for its escape
-    /// certificate, where a tree rooted at the "wrong" endpoint would not do.
-    pub(crate) fn tree_rooted_at(
-        &self,
-        key: &KeyRef<'_>,
-        root: VertexId,
-        scratch: &mut DijkstraScratch,
-    ) -> (Arc<ShortestPathTree>, bool) {
-        if self.options.cache_capacity > 0 {
-            let mut cache = self.cache.lock().expect("tree cache poisoned");
-            if let Some(tree) = cache.get_ref(key, root) {
-                return (tree, true);
-            }
-        }
-        self.compute_tree(key, root, scratch)
-    }
-
-    /// Computes (and caches) a tree rooted at `root` on the faulted spanner.
-    /// This is the miss path: translating edge faults and materializing the
-    /// owned cache key may allocate.
-    fn compute_tree(
-        &self,
-        key: &KeyRef<'_>,
-        root: VertexId,
-        scratch: &mut DijkstraScratch,
-    ) -> (Arc<ShortestPathTree>, bool) {
-        // Compute outside the lock; concurrent workers may race on the same
-        // tree, in which case the last insert simply wins.
-        let spanner_faults = key.faults().translate_edges(&self.graph, &self.spanner);
-        let view = spanner_faults.apply(&self.spanner);
-        let tree = Arc::new(scratch.shortest_path_tree(&view, root));
-        self.metrics.record_tree_built();
-        if self.options.cache_capacity > 0 {
-            let mut cache = self.cache.lock().expect("tree cache poisoned");
-            cache.insert(key.to_owned_key(), root, Arc::clone(&tree));
-        }
-        (tree, false)
+        self.trees
+            .tree(&self.spanner, Some(&self.graph), key, u, Some(v), scratch)
     }
 
     /// Drops every cached tree and bumps the epoch; called by every
     /// structural mutation.
     pub(crate) fn invalidate_serving_state(&mut self) {
         self.epoch += 1;
-        self.cache.lock().expect("tree cache poisoned").clear();
+        self.trees.clear();
     }
 }
 

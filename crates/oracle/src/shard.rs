@@ -1,13 +1,15 @@
 //! Sharded serving: partition the vertex set, serve every query from a
-//! per-shard oracle when locality can be *proved*, and fall back to the
+//! per-shard region when locality can be *proved*, and fall back to the
 //! global oracle otherwise.
 //!
 //! The [`ShardedOracle`] is the scaling layer over [`FaultOracle`]: a
 //! [`ShardPlan`] (derived deterministically from the padded decomposition of
 //! `ftspan-distributed`) assigns each vertex to a shard; every shard serves a
-//! **region** — its core vertices plus a halo of radius `2k − 1` — through
-//! its own `FaultOracle` over the induced subgraph, with shard-local dense
-//! ids and a shard-unique cache namespace. Cross-shard queries are served
+//! **region** — its core vertices plus a halo of radius `2k − 1` — from the
+//! spanner induced on it alone (no copy of the input graph), with its own
+//! tree cache, shard-local dense ids and a shard-unique cache namespace.
+//! Edge faults, which name input-graph edges, are resolved by endpoints
+//! straight to the region's spanner edges. Cross-shard queries are served
 //! from lazily-built **pair regions** (the union of two shards' regions,
 //! which contains the [`BoundaryIndex`]'s cut edges between them), stitching
 //! the two shards' shortest-path trees through the portal vertices.
@@ -31,12 +33,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ftspan::{
-    poly_greedy_spanner_with, FaultSet, PolyGreedyOptions, SpannerParams, SpannerResult,
-    SpannerStats,
-};
+use ftspan::{poly_greedy_spanner_with, FaultSet, PolyGreedyOptions, SpannerParams, SpannerResult};
 use ftspan_distributed::{padded_decomposition, DecompositionOptions};
 use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
 use ftspan_graph::{Graph, IdRemap, VertexId};
@@ -44,7 +43,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::boundary::BoundaryIndex;
-use crate::oracle::{FaultOracle, OracleOptions};
+use crate::metrics::MetricsSnapshot;
+use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
 use crate::query::{Answer, Query, QueryKind};
 
 /// How a [`ShardPlan`] is derived from the padded decomposition.
@@ -207,15 +207,22 @@ pub struct ShardedOptions {
     /// witness path for a core edge can wander.
     pub halo_radius: Option<u32>,
     /// Options of the global oracle and (with per-shard cache namespaces)
-    /// of every region oracle.
+    /// of every region's tree cache.
     pub oracle: OracleOptions,
 }
 
 /// One served region: a shard's core plus halo (or the union of two shards'
 /// regions for cross-shard stitching), remapped to dense local ids.
+///
+/// A region answer is a distance in `H ∖ F` plus the escape certificate, and
+/// both read the spanner alone, so a region holds the **induced spanner
+/// only** — no copy of the input graph.
 #[derive(Debug)]
 pub(crate) struct Region {
-    pub(crate) oracle: FaultOracle,
+    /// The spanner induced on the members, in local ids.
+    pub(crate) spanner: Graph,
+    /// The region's tree cache and counters, under its cache namespace.
+    pub(crate) trees: TreeStore,
     pub(crate) remap: IdRemap,
     /// Local ids of the vertices with global spanner edges leaving the
     /// region — the only places a path can escape through.
@@ -227,18 +234,18 @@ pub(crate) struct Region {
 
 impl Region {
     /// Extracts the region on `members` (sorted global ids) from the global
-    /// effective graph and spanner.
+    /// spanner. The global effective graph is read only for the signature.
     pub(crate) fn build(
         graph: &Graph,
         spanner: &Graph,
-        params: SpannerParams,
         base_options: &OracleOptions,
         namespace: u64,
         members: &[VertexId],
     ) -> Self {
         let signature = region_signature(graph, spanner, members);
-        let (local_base, remap) = graph.induced_subgraph_remap(members);
-        let mut local_spanner = Graph::empty_like(&local_base);
+        let remap = IdRemap::from_members(spanner.vertex_count(), members);
+        let local_count = remap.local_count();
+        let mut local_spanner = Graph::with_capacity(local_count, local_count);
         // Only member adjacencies are scanned (not the whole spanner edge
         // table), so region extraction stays proportional to the region.
         for &u in remap.members() {
@@ -257,39 +264,34 @@ impl Region {
             .filter(|&&g| spanner.neighbors(g).any(|(nbr, _)| !remap.contains(nbr)))
             .map(|&g| remap.to_local(g).expect("member maps locally"))
             .collect();
-        let oracle = FaultOracle::from_result(
-            local_base,
-            SpannerResult {
-                spanner: local_spanner,
-                params,
-                stats: SpannerStats::default(),
-                certificates: Vec::new(),
-            },
-            OracleOptions {
-                cache_namespace: namespace,
-                ..base_options.clone()
-            },
-        );
+        let trees = TreeStore::new(&OracleOptions {
+            cache_namespace: namespace,
+            ..base_options.clone()
+        });
         Self {
-            oracle,
+            spanner: local_spanner,
+            trees,
             remap,
             frontier,
             signature,
         }
     }
 
-    /// Heap bytes held by the region: its local oracle (graphs plus tree
-    /// cache), the paged id remap, and the frontier list.
+    /// Heap bytes held by the region: its local spanner, its tree cache,
+    /// the paged id remap, and the frontier list.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.oracle.memory_bytes()
+        self.spanner.memory_bytes()
+            + self.trees.memory_bytes()
             + self.remap.memory_bytes()
             + self.frontier.capacity() * std::mem::size_of::<VertexId>()
     }
 
-    /// Restricts a global fault set to the region's local id space. Faults
-    /// outside the region cannot touch any path inside it and are dropped;
-    /// edge fault ids (which refer to the global input graph) are matched by
-    /// endpoints.
+    /// Restricts a global fault set to the region's local spanner. Faults
+    /// outside the region cannot touch any path inside it and are dropped.
+    /// An edge fault id names an edge of the global input graph: it is
+    /// resolved by its endpoints straight to the region's spanner edge, and
+    /// dropped when the spanner has no such edge — a fault on an edge outside
+    /// `H` cannot change `H ∖ F`.
     fn localize_faults(&self, faults: &FaultSet, global_graph: &Graph) -> FaultSet {
         match faults {
             FaultSet::Vertices(vs) => {
@@ -299,7 +301,7 @@ impl Region {
                 let (u, v) = global_graph.get_edge(e)?.endpoints();
                 let lu = self.remap.to_local(u)?;
                 let lv = self.remap.to_local(v)?;
-                self.oracle.graph().edge_between(lu, lv)
+                self.spanner.edge_between(lu, lv)
             })),
         }
     }
@@ -330,8 +332,13 @@ impl Region {
         let lu = self.remap.to_local(u)?;
         let lv = self.remap.to_local(v)?;
         let faults = self.localize_faults(global_faults, global_graph);
-        let key = self.oracle.key_ref(&faults);
-        let (tree_u, cache_hit) = self.oracle.tree_rooted_at(&key, lu, scratch);
+        let key = self.trees.key_ref(&faults);
+        // The escape certificate reads frontier distances off both
+        // endpoints' trees, so each lookup wants exactly its own root, and
+        // the localized faults already name region spanner edges.
+        let (tree_u, cache_hit) = self
+            .trees
+            .tree(&self.spanner, None, &key, lu, None, scratch);
         let distance = tree_u.distance_to(lv);
 
         let exact = match self.frontier_distance(&tree_u) {
@@ -339,7 +346,9 @@ impl Region {
             // leaves the region, so the local answer is the global answer.
             None => true,
             Some(front_u) => {
-                let (tree_v, _) = self.oracle.tree_rooted_at(&key, lv, scratch);
+                let (tree_v, _) = self
+                    .trees
+                    .tree(&self.spanner, None, &key, lv, None, scratch);
                 match (distance, self.frontier_distance(&tree_v)) {
                     // Same escape-proofness, from the `v` side.
                     (_, None) => true,
@@ -360,17 +369,147 @@ impl Region {
             (QueryKind::Path, Some(_)) => tree_u.path_to(lv).map(|p| self.remap.globalize_path(&p)),
             _ => None,
         };
-        // Record on the region oracle's own metrics so the sharded
-        // backend's aggregated cache statistics (`ShardedOracle::cache_stats`)
-        // see every served query exactly once — certificate failures are
+        // Record on the region's own metrics so the sharded backend's
+        // aggregated cache statistics (`ShardedOracle::cache_stats`) see
+        // every served query exactly once — certificate failures are
         // recorded by the global fallback instead.
-        self.oracle.metrics().record_query(cache_hit);
+        self.trees.metrics().record_query(cache_hit);
         Some(Answer {
             distance,
             path,
             cache_hit,
         })
     }
+}
+
+/// The lazily-filled cache of stitched pair regions, keyed by the
+/// normalized `(a, b)` shard (or leaf) pair.
+///
+/// Poison policy: the map only ever holds finished `Arc<Region>`s — regions
+/// are built outside the lock — so a thread that panicked while holding it
+/// cannot have left an entry half-written. A poisoned lock is recovered
+/// rather than turned into a panic on every later query.
+#[derive(Debug, Default)]
+pub(crate) struct PairRegions(Mutex<HashMap<(u32, u32), Arc<Region>>>);
+
+impl PairRegions {
+    /// Locks the map, recovering it if a panicking holder poisoned it.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashMap<(u32, u32), Arc<Region>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fetches the pair region for `(a, b)`, or stitches it from `regions`
+    /// on a miss. Building happens outside the lock; a concurrent builder of
+    /// the same pair just loses the insert race and its region is dropped.
+    ///
+    /// Halo dedup: when one of the two regions already covers the union (its
+    /// halo swallowed the other's core and halo), the pair *is* that region
+    /// and is shared instead of extracted again.
+    pub(crate) fn get_or_stitch(
+        &self,
+        regions: &[Arc<Region>],
+        a: u32,
+        b: u32,
+        build: impl FnOnce(&[VertexId]) -> Region,
+    ) -> Arc<Region> {
+        if let Some(region) = self.lock().get(&(a, b)) {
+            return Arc::clone(region);
+        }
+        let (ra, rb) = (&regions[a as usize], &regions[b as usize]);
+        let mut members: Vec<VertexId> = ra
+            .remap
+            .members()
+            .iter()
+            .chain(rb.remap.members())
+            .copied()
+            .collect();
+        members.sort_unstable();
+        members.dedup();
+        let region = [ra, rb]
+            .into_iter()
+            .find(|r| r.remap.members() == members.as_slice())
+            .map_or_else(|| Arc::new(build(&members)), Arc::clone);
+        Arc::clone(self.lock().entry((a, b)).or_insert(region))
+    }
+
+    /// Calls `f` once per distinct region allocation among `regions` and the
+    /// live pair regions — an interned region sits behind several shards or
+    /// pairs but is counted once.
+    pub(crate) fn for_each_distinct(&self, regions: &[Arc<Region>], mut f: impl FnMut(&Region)) {
+        let pairs = self.lock();
+        let mut seen: Vec<*const Region> = Vec::new();
+        for region in regions.iter().chain(pairs.values()) {
+            let ptr = Arc::as_ptr(region);
+            if !seen.contains(&ptr) {
+                seen.push(ptr);
+                f(region);
+            }
+        }
+    }
+}
+
+/// One region per shard of `plan`: the shard's core plus every vertex within
+/// `halo_radius` hops in the global spanner, namespaced by `namespace(s)`.
+///
+/// Sibling dedup: a shard whose member set equals an earlier shard's shares
+/// that extraction. The shared region keeps the first shard's cache
+/// namespace, which is sound — identical regions answer identically, so
+/// sharing their tree cache is a win, not a collision.
+///
+/// Each region is a pure function of the global state and the plan, so on a
+/// multicore host the distinct regions are extracted on one scoped thread
+/// each; joining in shard order keeps the result identical to a serial build.
+pub(crate) fn build_regions(
+    global: &FaultOracle,
+    plan: &ShardPlan,
+    halo_radius: u32,
+    options: &OracleOptions,
+    namespace: fn(usize) -> u64,
+) -> Vec<Arc<Region>> {
+    let members: Vec<Vec<VertexId>> = (0..plan.shard_count())
+        .map(|s| global.spanner().halo_members(plan.core(s), halo_radius))
+        .collect();
+    // `owner[s]` is the first shard with shard `s`'s member set.
+    let owner: Vec<usize> = (0..members.len())
+        .map(|s| (0..s).find(|&t| members[t] == members[s]).unwrap_or(s))
+        .collect();
+    let distinct: Vec<usize> = (0..members.len()).filter(|&s| owner[s] == s).collect();
+    let build = |s: usize| {
+        Region::build(
+            global.graph(),
+            global.spanner(),
+            options,
+            namespace(s),
+            &members[s],
+        )
+    };
+    let build = &build;
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let built: Vec<Region> = if cores > 1 && distinct.len() > 1 {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = distinct
+                .iter()
+                .map(|&s| scope.spawn(move || build(s)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("region build must not panic"))
+                .collect()
+        })
+    } else {
+        distinct.iter().map(|&s| build(s)).collect()
+    };
+    let mut built = built.into_iter();
+    let mut regions: Vec<Arc<Region>> = Vec::with_capacity(members.len());
+    for s in 0..members.len() {
+        let region = if owner[s] == s {
+            Arc::new(built.next().expect("one build per distinct member set"))
+        } else {
+            Arc::clone(&regions[owner[s]])
+        };
+        regions.push(region);
+    }
+    regions
 }
 
 /// Splits a shard's members into two halves along the BFS layering of its
@@ -410,6 +549,12 @@ fn split_by_bfs_layers(graph: &Graph, members: &[VertexId]) -> (Vec<VertexId>, V
 /// halo-rim member to the outside changes no member and no induced edge,
 /// but turns that member into a frontier vertex. Skipping the rebuild would
 /// leave the frontier stale and the certificate unsound.
+///
+/// The input graph's induced edges are hashed even though a region now
+/// serves from the spanner alone: the signature decides which lanes a wave
+/// rebuilds, and the rebuilt lanes feed every `WaveReport::digest` and
+/// therefore every journal entry. Hashing `H` alone would rebuild fewer
+/// lanes on some waves and change those digests.
 pub(crate) fn region_signature(graph: &Graph, spanner: &Graph, members: &[VertexId]) -> u64 {
     let mut inside = vec![false; graph.vertex_count()];
     for &v in members {
@@ -536,13 +681,13 @@ pub struct ShardedOracle {
     /// everything) share one extraction instead of duplicating it — the halo
     /// dedup half of the scale tier's memory story.
     pub(crate) regions: Vec<Arc<Region>>,
-    pub(crate) pair_regions: Mutex<HashMap<(u32, u32), Arc<Region>>>,
+    pub(crate) pair_regions: PairRegions,
     pub(crate) shard_epochs: Vec<u64>,
     pub(crate) halo_radius: u32,
     pub(crate) options: ShardedOptions,
     pub(crate) metrics: ShardedMetrics,
-    /// Cache statistics `(hits, trees built)` of region oracles that have
-    /// been retired — replaced by a churn rebuild or dropped with the pair
+    /// Cache statistics `(hits, trees built)` of regions that have been
+    /// retired — replaced by a churn rebuild or dropped with the pair
     /// cache — folded in so [`ShardedOracle::cache_stats`] spans the
     /// oracle's whole lifetime, not just the current regions.
     pub(crate) retired_cache_stats: (u64, u64),
@@ -602,37 +747,35 @@ impl ShardedOracle {
         let params = result.params;
         let global = FaultOracle::from_result(graph, result, options.oracle.clone());
         let halo_radius = options.halo_radius.unwrap_or_else(|| params.stretch());
-        let boundary = BoundaryIndex::build(global.spanner(), &plan);
-        let mut regions: Vec<Arc<Region>> = Vec::with_capacity(plan.shard_count());
-        for s in 0..plan.shard_count() {
-            let members = global.spanner().halo_members(plan.core(s), halo_radius);
-            // Sibling dedup: an earlier shard with the exact same member set
-            // (and therefore the same induced region) shares one extraction.
-            // The shared region keeps the first shard's cache namespace,
-            // which is sound — identical regions answer identically, so
-            // sharing their tree cache is a win, not a collision.
-            let shared = regions
-                .iter()
-                .find(|r| r.remap.members() == members.as_slice())
-                .map(Arc::clone);
-            regions.push(shared.unwrap_or_else(|| {
-                Arc::new(Region::build(
-                    global.graph(),
-                    global.spanner(),
-                    params,
-                    &options.oracle,
-                    shard_namespace(s),
-                    &members,
-                ))
-            }));
-        }
         let shard_epochs = vec![0; plan.shard_count()];
+        Self::assemble(global, plan, shard_epochs, halo_radius, options)
+    }
+
+    /// Derives the serving state — boundary index and interned shard
+    /// regions — from the global oracle and the plan. Cold builds and
+    /// snapshot restores both end here, so a restore serves exactly what a
+    /// build would.
+    pub(crate) fn assemble(
+        global: FaultOracle,
+        plan: ShardPlan,
+        shard_epochs: Vec<u64>,
+        halo_radius: u32,
+        options: ShardedOptions,
+    ) -> Self {
+        let boundary = BoundaryIndex::build(global.spanner(), &plan);
+        let regions = build_regions(
+            &global,
+            &plan,
+            halo_radius,
+            &options.oracle,
+            shard_namespace,
+        );
         Self {
             global,
             plan,
             boundary,
             regions,
-            pair_regions: Mutex::new(HashMap::new()),
+            pair_regions: PairRegions::default(),
             shard_epochs,
             halo_radius,
             options,
@@ -730,64 +873,24 @@ impl ShardedOracle {
     /// certified its answer, or on the global oracle when it fell back.
     #[must_use]
     pub fn cache_stats(&self) -> (u64, u64) {
-        let (mut hits, mut built) = self.retired_cache_stats;
-        // Interned regions appear behind several shards (or pairs); count
-        // each distinct allocation once.
-        let mut seen: Vec<*const Region> = Vec::new();
-        let mut add = |region: &Arc<Region>| {
-            let ptr = Arc::as_ptr(region);
-            if seen.contains(&ptr) {
-                return;
-            }
-            seen.push(ptr);
-            let snap = region.oracle.metrics().snapshot();
-            hits += snap.cache_hits;
-            built += snap.trees_built;
-        };
-        for region in &self.regions {
-            add(region);
-        }
-        for region in self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned")
-            .values()
-        {
-            add(region);
-        }
-        let snap = self.global.metrics().snapshot();
-        hits += snap.cache_hits;
-        built += snap.trees_built;
-        (hits, built)
+        cache_stats(
+            &self.global,
+            &self.regions,
+            &self.pair_regions,
+            self.retired_cache_stats,
+        )
     }
 
     /// Heap bytes held by the sharded serving state: the global oracle, the
-    /// boundary index, and every **distinct** region allocation (shard and
-    /// pair regions interned to one extraction are counted once — the
-    /// number the `mem_bytes_per_edge` scale series reports).
+    /// boundary index, and every **distinct** region allocation — shard and
+    /// pair regions interned to one extraction are counted once, and each
+    /// region holds its induced spanner, tree cache, remap and frontier.
+    /// This is the number the `mem_bytes_per_edge` scale series reports.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.global.memory_bytes() + self.boundary.memory_bytes();
-        let mut seen: Vec<*const Region> = Vec::new();
-        let mut add = |region: &Arc<Region>| {
-            let ptr = Arc::as_ptr(region);
-            if seen.contains(&ptr) {
-                return;
-            }
-            seen.push(ptr);
-            bytes += region.memory_bytes();
-        };
-        for region in &self.regions {
-            add(region);
-        }
-        for region in self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned")
-            .values()
-        {
-            add(region);
-        }
+        self.pair_regions
+            .for_each_distinct(&self.regions, |region| bytes += region.memory_bytes());
         bytes
     }
 
@@ -900,49 +1003,36 @@ impl ShardedOracle {
 
     /// Fetches (or lazily builds) the stitched pair region for two shards.
     pub(crate) fn pair_region(&self, a: u32, b: u32) -> Arc<Region> {
-        if let Some(region) = self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned")
-            .get(&(a, b))
-        {
-            return Arc::clone(region);
-        }
-        // Build outside the lock; a concurrent builder of the same pair just
-        // loses the insert race and its region is dropped.
-        let mut members: Vec<VertexId> = self.regions[a as usize]
-            .remap
-            .members()
-            .iter()
-            .chain(self.regions[b as usize].remap.members())
-            .copied()
-            .collect();
-        members.sort_unstable();
-        members.dedup();
-        // Halo dedup again: when one shard's region already covers the
-        // union (its halo swallowed the other's core and halo), the pair is
-        // that region — reuse it instead of extracting a copy.
-        let region = [a, b]
-            .iter()
-            .map(|&s| &self.regions[s as usize])
-            .find(|r| r.remap.members() == members.as_slice())
-            .map(Arc::clone)
-            .unwrap_or_else(|| {
-                Arc::new(Region::build(
+        self.pair_regions
+            .get_or_stitch(&self.regions, a, b, |members| {
+                Region::build(
                     self.global.graph(),
                     self.global.spanner(),
-                    self.global.params(),
                     &self.options.oracle,
                     pair_namespace(a, b),
-                    &members,
-                ))
-            });
-        let mut cache = self
-            .pair_regions
-            .lock()
-            .expect("pair region cache poisoned");
-        Arc::clone(cache.entry((a, b)).or_insert(region))
+                    members,
+                )
+            })
     }
+}
+
+/// Aggregated tree-cache statistics `(cache_hits, trees_built)` of a routed
+/// backend: the global oracle, every distinct live region, and the
+/// statistics already folded in from retired regions.
+pub(crate) fn cache_stats(
+    global: &FaultOracle,
+    regions: &[Arc<Region>],
+    pair_regions: &PairRegions,
+    retired: (u64, u64),
+) -> (u64, u64) {
+    let (mut hits, mut built) = retired;
+    let mut add = |snap: MetricsSnapshot| {
+        hits += snap.cache_hits;
+        built += snap.trees_built;
+    };
+    pair_regions.for_each_distinct(regions, |region| add(region.trees.metrics().snapshot()));
+    add(global.metrics().snapshot());
+    (hits, built)
 }
 
 /// The region a query routes to.
@@ -1109,14 +1199,7 @@ mod tests {
     #[test]
     fn pair_regions_are_built_lazily_and_reused() {
         let oracle = sharded(6, 3, 1);
-        assert_eq!(
-            oracle
-                .pair_regions
-                .lock()
-                .expect("pair region cache poisoned")
-                .len(),
-            0
-        );
+        assert_eq!(oracle.pair_regions.lock().len(), 0);
         let a = oracle.pair_region(0, 1);
         let b = oracle.pair_region(0, 1);
         assert!(Arc::ptr_eq(&a, &b), "pair region must be cached");
@@ -1124,6 +1207,75 @@ mod tests {
         for &v in oracle.plan().core(0).iter().chain(oracle.plan().core(1)) {
             assert!(a.remap.contains(v));
         }
+    }
+
+    #[test]
+    fn memory_accounting_counts_regions_without_an_input_graph_copy() {
+        // A grid keeps the halos local, so the four regions stay distinct.
+        let options = ShardedOptions {
+            plan: ShardPlanOptions {
+                shards: 4,
+                ..ShardPlanOptions::default()
+            },
+            ..ShardedOptions::default()
+        };
+        let oracle = ShardedOracle::build(
+            generators::grid(12, 12),
+            SpannerParams::vertex(2, 1),
+            options,
+        );
+        let empty_cache =
+            crate::cache::TreeCache::new(oracle.options.oracle.cache_capacity).memory_bytes();
+        let mut expected = oracle.global().memory_bytes() + oracle.boundary().memory_bytes();
+        let mut seen: Vec<*const Region> = Vec::new();
+        for region in &oracle.regions {
+            if seen.contains(&Arc::as_ptr(region)) {
+                continue;
+            }
+            seen.push(Arc::as_ptr(region));
+            expected += region.spanner.memory_bytes()
+                + empty_cache
+                + region.remap.memory_bytes()
+                + region.frontier.capacity() * std::mem::size_of::<VertexId>();
+        }
+        assert!(seen.len() > 1, "the plan must yield distinct regions");
+        assert_eq!(oracle.memory_bytes(), expected);
+    }
+
+    #[test]
+    fn poisoned_pair_region_cache_keeps_serving() {
+        let oracle = sharded(6, 3, 1);
+        let _ = oracle.pair_region(0, 1);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = oracle.pair_regions.0.lock();
+                panic!("poisoning the pair region cache on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(oracle.pair_regions.0.is_poisoned());
+
+        let n = oracle.graph().vertex_count();
+        let faults = FaultSet::vertices([vid(9)]);
+        let (mut local, mut cross) = (0, 0);
+        for u in (0..n).step_by(3) {
+            for v in (1..n).step_by(5) {
+                let (u, v) = (vid(u), vid(v));
+                match oracle.route(u, v) {
+                    Route::Local(_) => local += 1,
+                    Route::Pair(..) => cross += 1,
+                }
+                assert_eq!(
+                    oracle.distance(u, v, &faults).map(f64::to_bits),
+                    oracle.global().distance(u, v, &faults).map(f64::to_bits),
+                    "u {u} v {v}"
+                );
+            }
+        }
+        assert!(local > 0 && cross > 0, "both routes must be exercised");
+        assert!(oracle.pair_regions.lock().len() > 1);
+        let _ = oracle.cache_stats();
+        assert!(oracle.memory_bytes() > 0);
     }
 
     #[test]

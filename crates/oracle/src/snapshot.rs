@@ -56,22 +56,13 @@
 //! assert_eq!(warm.spanner().edge_count(), oracle.spanner().edge_count());
 //! ```
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use ftspan::wire::{decode_certificate, decode_params, encode_certificate, encode_params};
 use ftspan_graph::wire::{fnv1a64, WireError, WireReader, WireWriter};
 use ftspan_graph::{vid, Graph, VertexId};
 
-use crate::boundary::BoundaryIndex;
-use crate::cache::TreeCache;
-use crate::hierarchy::{leaf_namespace, HierarchicalOptions, HierarchicalOracle};
-use crate::metrics::OracleMetrics;
-use crate::oracle::{FaultOracle, OracleOptions};
-use crate::shard::{
-    shard_namespace, Region, ShardPlan, ShardPlanOptions, ShardedMetrics, ShardedOptions,
-    ShardedOracle,
-};
+use crate::hierarchy::{compose_super_plan, HierarchicalOptions, HierarchicalOracle};
+use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
+use crate::shard::{ShardPlan, ShardPlanOptions, ShardedOptions, ShardedOracle};
 
 /// Errors produced when restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -363,18 +354,16 @@ impl Snapshottable for FaultOracle {
             damage_edges.push((read_vertex(r, n)?, read_vertex(r, n)?));
         }
         let epoch = r.u64()?;
-        let cache = Mutex::new(TreeCache::new(options.cache_capacity));
         Ok(Self {
             graph,
             spanner,
             params,
+            trees: TreeStore::new(&options),
             options,
             certificates,
             damage_vertices,
             damage_edges,
             epoch,
-            cache,
-            metrics: OracleMetrics::default(),
             wave_scratch: crate::churn::WaveScratch::default(),
         })
     }
@@ -465,70 +454,17 @@ impl Snapshottable for ShardedOracle {
             shard_epochs.push(r.u64()?);
         }
 
-        // Everything below is *derived* state, rebuilt exactly the way
-        // `ShardedOracle::from_result` and the churn fan-out build it — a
-        // pure function of the restored graphs, spanner, and plan, so the
-        // restored oracle serves bit-identical answers.
-        let params = global.params;
-        let boundary = BoundaryIndex::build(&global.spanner, &plan);
-        // Each region is a pure function of (graph, spanner, plan), so a
-        // restore may rebuild them on one scoped thread per shard; joining
-        // in shard order keeps the result identical to the serial rebuild
-        // `from_result` performs. Region rebuilding is the dominant cost of
-        // a sharded restore (the greedy construction a cold build pays is
-        // skipped entirely), so on multicore hosts the fan-out widens the
-        // warm-restart win further; on a single core the threads would be
-        // pure overhead, so the serial path is kept.
-        let rebuild = |s: usize| {
-            let members = global.spanner.halo_members(plan.core(s), halo_radius);
-            Region::build(
-                &global.graph,
-                &global.spanner,
-                params,
-                &options.oracle,
-                shard_namespace(s),
-                &members,
-            )
-        };
-        let rebuild = &rebuild;
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let built: Vec<Region> = if cores > 1 && plan.shard_count() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..plan.shard_count())
-                    .map(|s| scope.spawn(move || rebuild(s)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region rebuild must not panic"))
-                    .collect()
-            })
-        } else {
-            (0..plan.shard_count()).map(rebuild).collect()
-        };
-        // Intern sibling regions with identical member sets behind one Arc,
-        // exactly as `from_result` does, so a restored oracle matches the
-        // cold build's memory footprint.
-        let mut regions: Vec<std::sync::Arc<Region>> = Vec::with_capacity(built.len());
-        for region in built {
-            let shared = regions
-                .iter()
-                .find(|r| r.remap.members() == region.remap.members())
-                .map(std::sync::Arc::clone);
-            regions.push(shared.unwrap_or_else(|| std::sync::Arc::new(region)));
-        }
-        Ok(Self {
+        // Everything else is *derived* state — boundary index and interned
+        // regions, a pure function of the restored graphs, spanner and plan
+        // — rebuilt by the same code a cold build runs, so the restored
+        // oracle serves bit-identical answers.
+        Ok(Self::assemble(
             global,
             plan,
-            boundary,
-            regions,
-            pair_regions: Mutex::new(HashMap::new()),
             shard_epochs,
             halo_radius,
             options,
-            metrics: ShardedMetrics::default(),
-            retired_cache_stats: (0, 0),
-            wave_bfs: ftspan_graph::bfs::BfsScratch::default(),
-        })
+        ))
     }
 }
 
@@ -625,71 +561,20 @@ impl Snapshottable for HierarchicalOracle {
             leaf_epochs.push(r.u64()?);
         }
 
-        // Derived state, rebuilt exactly as `HierarchicalOracle::from_result`
-        // builds it: the vertex-level super plan composed from the leaf plan,
-        // the level-2 boundary over it, and the interned leaf regions.
-        let super_of_vertex: Vec<u32> = (0..leaf_plan.vertex_count())
-            .map(|i| {
-                super_of_leaf
-                    .get(leaf_plan.shard_of(vid(i)) as usize)
-                    .copied()
-                    .ok_or_else(|| WireError::malformed("leaf id out of super assignment range"))
-            })
-            .collect::<Result<_, _>>()?;
-        let super_plan = ShardPlan::from_shard_of(super_of_vertex);
-        let params = global.params;
-        let boundary = BoundaryIndex::build(&global.spanner, &super_plan);
-        let rebuild = |leaf: usize| {
-            let members = global
-                .spanner
-                .halo_members(leaf_plan.core(leaf), halo_radius);
-            Region::build(
-                &global.graph,
-                &global.spanner,
-                params,
-                &options.oracle,
-                leaf_namespace(leaf),
-                &members,
-            )
-        };
-        let rebuild = &rebuild;
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let built: Vec<Region> = if cores > 1 && leaf_plan.shard_count() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..leaf_plan.shard_count())
-                    .map(|s| scope.spawn(move || rebuild(s)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region rebuild must not panic"))
-                    .collect()
-            })
-        } else {
-            (0..leaf_plan.shard_count()).map(rebuild).collect()
-        };
-        let mut regions: Vec<std::sync::Arc<Region>> = Vec::with_capacity(built.len());
-        for region in built {
-            let shared = regions
-                .iter()
-                .find(|r| r.remap.members() == region.remap.members())
-                .map(std::sync::Arc::clone);
-            regions.push(shared.unwrap_or_else(|| std::sync::Arc::new(region)));
-        }
-        Ok(Self {
+        // Derived state, rebuilt by the same code a cold build runs: the
+        // vertex-level super plan composed from the leaf plan, the level-2
+        // boundary over it, and the interned leaf regions.
+        let super_plan = compose_super_plan(&leaf_plan, &super_of_leaf)
+            .ok_or_else(|| WireError::malformed("leaf id out of super assignment range"))?;
+        Ok(Self::assemble(
             global,
             leaf_plan,
             super_plan,
             super_of_leaf,
-            boundary,
-            regions,
-            pair_regions: Mutex::new(HashMap::new()),
             leaf_epochs,
             halo_radius,
             options,
-            metrics: ShardedMetrics::default(),
-            retired_cache_stats: (0, 0),
-            wave_bfs: ftspan_graph::bfs::BfsScratch::default(),
-        })
+        ))
     }
 }
 

@@ -9,8 +9,8 @@
 //! input, so they serve the same spanner; the comparison therefore isolates
 //! the serving layer (regions, boundary stitching, certificates, fallback).
 
-use ftspan::{sample_fault_set, FaultModel, SpannerParams};
-use ftspan_graph::{generators, vid, Graph};
+use ftspan::{sample_fault_set, FaultModel, FaultSet, SpannerParams};
+use ftspan_graph::{generators, vid, EdgeId, Graph};
 use ftspan_integration_tests::rng;
 use ftspan_oracle::{
     Answer, ChurnConfig, FaultOracle, HierarchicalOptions, HierarchicalOracle, OracleOptions,
@@ -153,8 +153,8 @@ fn scale_free_matches_single_oracle() {
 }
 
 /// Family 3: small-world (Watts–Strogatz), edge faults — the fault ids go
-/// through two rounds of translation (global graph → region base → region
-/// spanner), which this family pins down.
+/// through one translation (global graph → region spanner, by endpoints),
+/// which this family pins down.
 #[test]
 fn small_world_edge_faults_match_single_oracle() {
     let mut r = rng(8103);
@@ -168,6 +168,89 @@ fn small_world_edge_faults_match_single_oracle() {
         3,
         0.0,
     );
+}
+
+/// Regions resolve an edge fault straight to their spanner edge and drop it
+/// when `H` has no such edge. A fault set made only of rejected edges (input
+/// graph edges the spanner left out) therefore cannot change `H ∖ F`: on the
+/// Watts–Strogatz EFT family every flat and hierarchical answer under such a
+/// set must be bit-identical to the `F = ∅` answer and to the single
+/// oracle's.
+#[test]
+fn rejected_edge_faults_leave_every_answer_unchanged() {
+    // Family 3's generator with a wider ring lattice: at lattice degree 4
+    // the `f = 2` greedy keeps every edge, so there would be nothing to
+    // reject.
+    let mut r = rng(8103);
+    let graph = generators::watts_strogatz(100, 8, 0.2, &mut r);
+    let n = graph.vertex_count();
+    let params = SpannerParams::edge(2, 2);
+    let hier_options = HierarchicalOptions {
+        plan: ShardPlanOptions {
+            shards: 3,
+            ..ShardPlanOptions::default()
+        },
+        ..HierarchicalOptions::default()
+    };
+    let single = FaultOracle::build(graph.clone(), params, OracleOptions::default());
+    let flat = ShardedOracle::build(graph.clone(), params, hier_options.flat());
+    let hier = HierarchicalOracle::build(graph, params, hier_options);
+
+    let rejected: Vec<EdgeId> = single
+        .graph()
+        .edges()
+        .filter(|(_, e)| {
+            single
+                .spanner()
+                .edge_between(e.source(), e.target())
+                .is_none()
+        })
+        .map(|(id, _)| id)
+        .collect();
+    assert!(
+        rejected.len() >= 2,
+        "the family must reject edges, found {}",
+        rejected.len()
+    );
+
+    let mut fault_sets: Vec<FaultSet> = (0..20)
+        .map(|_| {
+            let a = rejected[r.gen_range(0..rejected.len())];
+            let b = rejected[r.gen_range(0..rejected.len())];
+            FaultSet::edges([a, b])
+        })
+        .collect();
+    fault_sets.push(FaultSet::edges(rejected.iter().copied()));
+    let no_faults = FaultSet::empty(FaultModel::Edge);
+
+    for (round, faults) in fault_sets.into_iter().enumerate() {
+        for _ in 0..30 {
+            let u = vid(r.gen_range(0..n));
+            let v = vid(r.gen_range(0..n));
+            let query = Query::path(u, v, faults.clone());
+            let expected = single.answer(&query);
+            let fault_free = single.distance(u, v, &no_faults);
+            for (name, got, unfaulted) in [
+                ("flat", flat.answer(&query), flat.distance(u, v, &no_faults)),
+                ("hier", hier.answer(&query), hier.distance(u, v, &no_faults)),
+            ] {
+                assert_eq!(
+                    got.distance.map(f64::to_bits),
+                    unfaulted.map(f64::to_bits),
+                    "{name} round {round}: rejected-edge faults changed {query:?}"
+                );
+                assert_eq!(
+                    unfaulted.map(f64::to_bits),
+                    fault_free.map(f64::to_bits),
+                    "{name} round {round}: F = ∅ diverged from the single oracle"
+                );
+                assert_answer_matches(name, round, single.spanner(), &query, &expected, &got);
+            }
+        }
+    }
+    for snap in [flat.metrics().snapshot(), hier.metrics().snapshot()] {
+        assert!(snap.local + snap.stitched > 0);
+    }
 }
 
 /// Family 4: weighted random geometric — float distances agree to within an
