@@ -1,37 +1,24 @@
-//! Experiment harness: regenerates every theorem-level experiment of
-//! DESIGN.md / EXPERIMENTS.md as a markdown table on stdout.
+//! Experiment harness: regenerates the paper-level experiments E1–E11
+//! (one per theorem or lemma of the source paper) as markdown tables on
+//! stdout.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p ftspan-bench --bin experiments [all|lbc|size-vs-n|size-vs-f|runtime|
-//!     exact-vs-poly|weighted|dk11|local|congest|eft|blocking|oracle|shard|bench-trajectory|
-//!     scale [quick]]
+//!     exact-vs-poly|weighted|dk11|local|congest|eft|blocking]
 //! ```
 //!
-//! With no argument (or `all`) every experiment runs. The tables in
-//! EXPERIMENTS.md are produced by this binary.
-//!
-//! `bench-trajectory` is special: instead of a table it measures the four
-//! serving scenarios (cached single queries, cached batch, 8-shard batch,
-//! churn repair) and writes the machine-readable `BENCH_oracle.json` at the
-//! repo root, preserving recorded `before` fields so the file accumulates a
-//! before/after trajectory across optimization PRs. CI uploads the file as
-//! an artifact.
-//!
-//! `scale` is the E14 scale-tier experiment: 10^5-node graphs (10^6 with
-//! `FTSPAN_LONG_TESTS=1`) across four families, measuring parallel
-//! construction speedup, two-level-sharding memory per edge, and query
-//! throughput, and merging the `scale_build` / `mem_bytes_per_edge` /
-//! `scale_query` series into `BENCH_oracle.json`. `scale quick` is the
-//! reduced-n CI smoke: it prints the table but leaves the recorded
-//! trajectory file untouched.
+//! With no argument (or `all`) every experiment runs in order. An unknown
+//! subcommand prints this usage to stderr and exits with status 2. The
+//! serving system (oracle, shards, service, server) is timed by the
+//! lifecycle benchmark under `benchmark/`, not here.
 
 use ftspan::blocking::{blocking_set_from_certificates, blocking_violations, lemma6_size_bound};
 use ftspan::lbc::decide_vertex_lbc;
 use ftspan::verify::{verify_spanner, VerificationMode};
 use ftspan::{
-    bounds, dk, exact_greedy_spanner, poly_greedy_spanner, poly_greedy_spanner_with, FaultModel,
+    bounds, dk, exact_greedy_spanner, poly_greedy_spanner, poly_greedy_spanner_with,
     PolyGreedyOptions, SpannerParams,
 };
 use ftspan_bench::{geometric_workload, gnp_workload, markdown_table, rng, timed};
@@ -39,54 +26,34 @@ use ftspan_distributed::{congest_baswana_sen, congest_ft_spanner, local_ft_spann
 use ftspan_graph::vid;
 use rand::Rng;
 
+/// Every experiment, by subcommand name, in the order `all` runs them.
+const EXPERIMENTS: [(&str, fn()); 11] = [
+    ("lbc", experiment_lbc),
+    ("size-vs-n", experiment_size_vs_n),
+    ("size-vs-f", experiment_size_vs_f),
+    ("runtime", experiment_runtime),
+    ("exact-vs-poly", experiment_exact_vs_poly),
+    ("weighted", experiment_weighted),
+    ("dk11", experiment_dk11),
+    ("local", experiment_local),
+    ("congest", experiment_congest),
+    ("eft", experiment_eft),
+    ("blocking", experiment_blocking),
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    let all = which == "all";
-    if all || which == "lbc" {
-        experiment_lbc();
-    }
-    if all || which == "size-vs-n" {
-        experiment_size_vs_n();
-    }
-    if all || which == "size-vs-f" {
-        experiment_size_vs_f();
-    }
-    if all || which == "runtime" {
-        experiment_runtime();
-    }
-    if all || which == "exact-vs-poly" {
-        experiment_exact_vs_poly();
-    }
-    if all || which == "weighted" {
-        experiment_weighted();
-    }
-    if all || which == "dk11" {
-        experiment_dk11();
-    }
-    if all || which == "local" {
-        experiment_local();
-    }
-    if all || which == "congest" {
-        experiment_congest();
-    }
-    if all || which == "eft" {
-        experiment_eft();
-    }
-    if all || which == "blocking" {
-        experiment_blocking();
-    }
-    if all || which == "oracle" {
-        experiment_oracle();
-    }
-    if all || which == "shard" {
-        experiment_shard();
-    }
-    if which == "bench-trajectory" {
-        bench_trajectory();
-    }
-    if which == "scale" {
-        let quick = std::env::args().nth(2).is_some_and(|mode| mode == "quick");
-        experiment_scale(quick);
+    if which == "all" {
+        EXPERIMENTS.iter().for_each(|(_, run)| run());
+    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == which) {
+        run();
+    } else {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown experiment `{which}`\nusage: experiments [all|{}]",
+            names.join("|")
+        );
+        std::process::exit(2);
     }
 }
 
@@ -608,1280 +575,4 @@ fn experiment_blocking() {
             &rows
         )
     );
-    let _ = FaultModel::Vertex; // silence unused-import lints if variants change
-}
-
-/// E12: the serving layer — batched query throughput and churn repair.
-fn experiment_oracle() {
-    use ftspan::{sample_fault_set, FaultSet};
-    use ftspan_oracle::{ChurnConfig, FaultOracle, OracleOptions, Query};
-
-    println!("\n## E12 — FaultOracle: throughput and latency under rolling faults\n");
-    let n = 1_000;
-    let batch_size = 2_000;
-    let graph = gnp_workload(n, 16.0, 13);
-    let params = SpannerParams::vertex(2, 2);
-    let (mut oracle, build_secs) =
-        timed(|| FaultOracle::build(graph.clone(), params, OracleOptions::default()));
-    println!(
-        "built {params} on n = {n}, m = {}: {} spanner edges in {build_secs:.1}s\n",
-        graph.edge_count(),
-        oracle.spanner().edge_count()
-    );
-
-    let mut query_rng = rng(14);
-    let mut wave_rng = rng(15);
-    let churn = ChurnConfig::default();
-    let mut rows = Vec::new();
-    for wave_no in 0..5u32 {
-        // A rolling wave of faults beyond the design tolerance, then a batch.
-        let outcome = if wave_no == 0 {
-            None
-        } else {
-            let wave = sample_fault_set(oracle.graph(), FaultModel::Vertex, 3, &[], &mut wave_rng);
-            Some(oracle.apply_wave(&wave, &churn))
-        };
-        let fault_pool: Vec<FaultSet> = (0..8)
-            .map(|_| sample_fault_set(oracle.graph(), FaultModel::Vertex, 2, &[], &mut query_rng))
-            .collect();
-        let hot_sources: Vec<usize> = (0..32).map(|_| query_rng.gen_range(0..n)).collect();
-        let queries: Vec<Query> = (0..batch_size)
-            .map(|i| {
-                let u = vid(hot_sources[query_rng.gen_range(0..hot_sources.len())]);
-                let v = vid(query_rng.gen_range(0..n));
-                Query::distance(u, v, fault_pool[i % fault_pool.len()].clone())
-            })
-            .collect();
-        let before = oracle.metrics().snapshot();
-        let (answers, secs) = timed(|| oracle.answer_batch(&queries));
-        let after = oracle.metrics().snapshot();
-        let hits = after.cache_hits - before.cache_hits;
-        let served = answers.iter().filter(|a| a.is_reachable()).count();
-        rows.push(vec![
-            wave_no.to_string(),
-            outcome
-                .as_ref()
-                .map_or("-".into(), |o| o.broken_pairs.len().to_string()),
-            outcome
-                .as_ref()
-                .map_or("-".into(), |o| o.edges_added.to_string()),
-            outcome
-                .as_ref()
-                .map_or("-".into(), |o| o.escalated.to_string()),
-            served.to_string(),
-            format!("{:.0}", batch_size as f64 / secs),
-            format!("{:.1}", 100.0 * hits as f64 / batch_size as f64),
-            format!("{:.1}", 1e6 * secs / batch_size as f64),
-        ]);
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "wave",
-                "broken pairs",
-                "edges added",
-                "escalated",
-                "reachable",
-                "queries/s",
-                "hit %",
-                "us/query"
-            ],
-            &rows
-        )
-    );
-}
-
-/// Pre-optimization churn-wave baselines: measured by running the
-/// `churn_wave` / `churn_wave_sharded` scenarios below (identical seeds and
-/// shapes) against commit e2e03e0's from-scratch LBC repair path, on the
-/// same machine that recorded the scenarios' `after` values.
-const CHURN_WAVE_BASELINE: f64 = 3.22;
-const CHURN_WAVE_SHARDED_BASELINE: f64 = 6.05;
-
-/// Pre-front-end baseline of the `service_batch` scenario: the same
-/// duplicate-heavy 2 000-request stream served by a direct
-/// `answer_batch` call (no tickets, no coalescing, no admission) on the
-/// machine that recorded the scenario's `after` value. A speedup below
-/// 1.0 is therefore not a regression — it is the recorded *price* of the
-/// front-end (queue, tickets, coalescing bookkeeping) on a purely
-/// in-memory hot loop, the number future front-end optimization PRs move.
-/// The harness re-measures and prints the direct throughput on every run
-/// as a drift check.
-const SERVICE_BATCH_BASELINE: f64 = 7_580_961.0;
-
-/// One measured scenario of the bench trajectory.
-struct TrajectoryPoint {
-    name: &'static str,
-    unit: &'static str,
-    /// Throughput recorded before the optimization PR (carried forward from
-    /// an existing `BENCH_oracle.json`, falling back to the recorded pre-PR
-    /// baseline for this scenario).
-    before: f64,
-    after: f64,
-}
-
-/// The workspace-root `BENCH_oracle.json`, resolved independently of the
-/// process cwd so `before` fields are found (and the CI artifact step sees
-/// the output) even when invoked from a crate directory.
-fn trajectory_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_oracle.json")
-}
-
-/// Renders one scenario line of `BENCH_oracle.json` (no trailing comma).
-/// Small rates (waves/s) keep two decimals; large ones round to integers.
-fn render_scenario(name: &str, unit: &str, before: f64, after: f64) -> String {
-    let fmt = |v: f64| {
-        if v < 1_000.0 {
-            format!("{v:.2}")
-        } else {
-            format!("{v:.0}")
-        }
-    };
-    let speedup = if before > 0.0 { after / before } else { 0.0 };
-    format!(
-        "{{\"name\": \"{name}\", \"unit\": \"{unit}\", \"before\": {}, \"after\": {}, \"speedup\": {speedup:.2}}}",
-        fmt(before),
-        fmt(after),
-    )
-}
-
-/// Splits the scenario lines of an existing `BENCH_oracle.json` into
-/// `(name, line)` pairs (lines trimmed, trailing commas stripped).
-fn parse_scenarios(content: &str) -> Vec<(String, String)> {
-    content
-        .lines()
-        .filter_map(|line| {
-            let trimmed = line.trim().trim_end_matches(',');
-            let anchor = "\"name\": \"";
-            let start = trimmed.find(anchor)? + anchor.len();
-            let name = &trimmed[start..start + trimmed[start..].find('"')?];
-            Some((name.to_owned(), trimmed.to_owned()))
-        })
-        .collect()
-}
-
-/// Writes `BENCH_oracle.json` by **merging**: scenarios already in the file
-/// are replaced in place when a new line carries the same name and kept
-/// verbatim otherwise, so the trajectory harness and the scale experiment
-/// never clobber each other's recorded series.
-fn write_merged_trajectory(new: &[(String, String)]) {
-    let path = trajectory_path();
-    let previous = std::fs::read_to_string(&path).unwrap_or_default();
-    let mut scenarios = parse_scenarios(&previous);
-    for (name, line) in new {
-        match scenarios.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => slot.1.clone_from(line),
-            None => scenarios.push((name.clone(), line.clone())),
-        }
-    }
-    let mut json = String::from("{\n  \"bench\": \"oracle\",\n  \"scenarios\": [\n");
-    for (i, (_, line)) in scenarios.iter().enumerate() {
-        json.push_str("    ");
-        json.push_str(line);
-        if i + 1 < scenarios.len() {
-            json.push(',');
-        }
-        json.push('\n');
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&path, json).expect("write BENCH_oracle.json");
-    println!("\nwrote {}", path.display());
-}
-
-/// Extracts the `"before"` value recorded for `name` in an existing
-/// `BENCH_oracle.json`, so re-runs keep the original pre-optimization
-/// baseline instead of overwriting the trajectory with itself.
-fn recorded_before(content: &str, name: &str) -> Option<f64> {
-    let anchor = format!("\"name\": \"{name}\"");
-    let rest = &content[content.find(&anchor)? + anchor.len()..];
-    let field = "\"before\": ";
-    let rest = &rest[rest.find(field)? + field.len()..];
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Measures the serving scenarios of the bench trajectory and writes
-/// `BENCH_oracle.json`. Every workload is deterministic (fixed seeds, same
-/// shapes as the `oracle`/`sharded` criterion benches), so two runs on the
-/// same machine are comparable.
-fn bench_trajectory() {
-    use ftspan::{sample_fault_set, FaultSet};
-    use ftspan_oracle::{
-        ChurnConfig, FaultOracle, OracleOptions, Query, ShardPlanOptions, ShardedOptions,
-        ShardedOracle,
-    };
-
-    // The pre-PR baseline recorded when each scenario was first introduced,
-    // measured by running this exact harness against the code the scenario's
-    // optimization PR started from (the query scenarios against the
-    // adjacency-list core of commit f0adb20; the churn-wave scenarios
-    // against the from-scratch LBC repair path of commit e2e03e0). Used only
-    // when the trajectory file does not record a `before` for the scenario.
-    const RECORDED_BASELINE: [(&str, f64); 7] = [
-        ("single_cached_distance", 4_766_804.0),
-        ("batch_cached", 2_665_970.0),
-        ("batch_8_shards", 1_764_859.0),
-        ("churn_repair", 6.25),
-        ("churn_wave", CHURN_WAVE_BASELINE),
-        ("churn_wave_sharded", CHURN_WAVE_SHARDED_BASELINE),
-        ("service_batch", SERVICE_BATCH_BASELINE),
-    ];
-
-    println!("\n## Bench trajectory — serving throughput before/after\n");
-    let previous = std::fs::read_to_string(trajectory_path()).unwrap_or_default();
-    let baseline = |name: &str| {
-        recorded_before(&previous, name).unwrap_or_else(|| {
-            if previous.contains(&format!("\"name\": \"{name}\"")) {
-                // The scenario is in the file but its `before` was not
-                // parsed — formatting drift or a renamed field. Falling
-                // back to the compile-time baseline loses any accumulated
-                // trajectory, so say so instead of doing it silently. (A
-                // scenario absent from the file is just new; its recorded
-                // baseline applies without noise.)
-                eprintln!(
-                    "warning: BENCH_oracle.json mentions {name} but no `before` was \
-                     parsed for it; using the recorded pre-PR baseline instead"
-                );
-            }
-            RECORDED_BASELINE
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0.0, |&(_, v)| v)
-        })
-    };
-
-    let n = 400;
-    let batch_size = 2_000;
-    let graph = gnp_workload(n, 6.0, 7);
-    let params = SpannerParams::vertex(2, 2);
-
-    // The bursty mixed distance/path batch of the `oracle` criterion bench.
-    let queries: Vec<Query> = {
-        let mut r = rng(11);
-        let waves: Vec<FaultSet> = (0..8)
-            .map(|_| {
-                let a = vid(r.gen_range(0..n));
-                let b = vid(r.gen_range(0..n));
-                FaultSet::vertices([a, b])
-            })
-            .collect();
-        let hot: Vec<usize> = (0..24).map(|_| r.gen_range(0..n)).collect();
-        (0..batch_size)
-            .map(|i| {
-                let u = vid(hot[r.gen_range(0..hot.len())]);
-                let mut v = vid(r.gen_range(0..n));
-                while v == u {
-                    v = vid(r.gen_range(0..n));
-                }
-                let faults = waves[i % waves.len()].clone();
-                if i % 4 == 0 {
-                    Query::path(u, v, faults)
-                } else {
-                    Query::distance(u, v, faults)
-                }
-            })
-            .collect()
-    };
-
-    let mut points: Vec<TrajectoryPoint> = Vec::new();
-
-    // 1. Cached single-query distance throughput (the hot hit path).
-    {
-        let oracle = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let faults = FaultSet::vertices([vid(1), vid(2)]);
-        let _ = oracle.distance(vid(3), vid(n - 1), &faults); // warm the tree
-        let reps = 200_000u32;
-        let (_, secs) = timed(|| {
-            for _ in 0..reps {
-                let _ = std::hint::black_box(oracle.distance(vid(3), vid(n - 1), &faults));
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "single_cached_distance",
-            unit: "queries/s",
-            before: baseline("single_cached_distance"),
-            after: f64::from(reps) / secs,
-        });
-    }
-
-    // 2. Cached batch throughput on the single oracle.
-    {
-        let oracle = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let _ = oracle.answer_batch(&queries); // warm
-        let reps = 20;
-        let (_, secs) = timed(|| {
-            for _ in 0..reps {
-                let _ = std::hint::black_box(oracle.answer_batch(&queries));
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "batch_cached",
-            unit: "queries/s",
-            before: baseline("batch_cached"),
-            after: (reps * batch_size) as f64 / secs,
-        });
-    }
-
-    // 3. The same batch through an 8-shard plan.
-    {
-        let options = ShardedOptions {
-            plan: ShardPlanOptions {
-                shards: 8,
-                ..ShardPlanOptions::default()
-            },
-            ..ShardedOptions::default()
-        };
-        let oracle = ShardedOracle::build(graph.clone(), params, options);
-        let _ = oracle.answer_batch(&queries); // warm
-        let reps = 20;
-        let (_, secs) = timed(|| {
-            for _ in 0..reps {
-                let _ = std::hint::black_box(oracle.answer_batch(&queries));
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "batch_8_shards",
-            unit: "queries/s",
-            before: baseline("batch_8_shards"),
-            after: (reps * batch_size) as f64 / secs,
-        });
-    }
-
-    // 4. Churn repair: waves applied per second (localized respan included).
-    {
-        let graph = gnp_workload(300, 8.0, 21);
-        let mut oracle =
-            FaultOracle::build(graph, SpannerParams::vertex(2, 1), OracleOptions::default());
-        let churn = ChurnConfig::default();
-        let mut wave_rng = rng(22);
-        let waves: Vec<FaultSet> = (0..10)
-            .map(|_| sample_fault_set(oracle.graph(), FaultModel::Vertex, 2, &[], &mut wave_rng))
-            .collect();
-        let (_, secs) = timed(|| {
-            for wave in &waves {
-                let _ = std::hint::black_box(oracle.apply_wave(wave, &churn));
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "churn_repair",
-            unit: "waves/s",
-            before: baseline("churn_repair"),
-            after: waves.len() as f64 / secs,
-        });
-    }
-
-    // 5. Churn wave on the E12-shaped single oracle (gnp, f = 2, waves of
-    //    3 vertices): the repair path the incremental LBC engine serves.
-    {
-        let graph = gnp_workload(400, 8.0, 13);
-        let mut oracle =
-            FaultOracle::build(graph, SpannerParams::vertex(2, 2), OracleOptions::default());
-        let churn = ChurnConfig::default();
-        let mut wave_rng = rng(23);
-        let waves: Vec<FaultSet> = (0..10)
-            .map(|_| sample_fault_set(oracle.graph(), FaultModel::Vertex, 3, &[], &mut wave_rng))
-            .collect();
-        let (_, secs) = timed(|| {
-            for wave in &waves {
-                let _ = std::hint::black_box(oracle.apply_wave(wave, &churn));
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "churn_wave",
-            unit: "waves/s",
-            before: baseline("churn_wave"),
-            after: waves.len() as f64 / secs,
-        });
-    }
-
-    // 6. Churn wave fan-out on the E13-shaped sharded oracle (grid, 8
-    //    shards, waves of 2 vertices): global repair plus per-shard region
-    //    rebuilds.
-    {
-        let graph = ftspan_graph::generators::grid(20, 20);
-        let options = ShardedOptions {
-            plan: ShardPlanOptions {
-                shards: 8,
-                ..ShardPlanOptions::default()
-            },
-            ..ShardedOptions::default()
-        };
-        let mut oracle = ShardedOracle::build(graph, SpannerParams::vertex(2, 2), options);
-        let churn = ChurnConfig::default();
-        let mut wave_rng = rng(24);
-        let waves: Vec<FaultSet> = (0..10)
-            .map(|_| {
-                sample_fault_set(
-                    oracle.global().graph(),
-                    FaultModel::Vertex,
-                    2,
-                    &[],
-                    &mut wave_rng,
-                )
-            })
-            .collect();
-        let (_, secs) = timed(|| {
-            for wave in &waves {
-                let _ = std::hint::black_box(oracle.apply_wave(wave, &churn));
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "churn_wave_sharded",
-            unit: "waves/s",
-            before: baseline("churn_wave_sharded"),
-            after: waves.len() as f64 / secs,
-        });
-    }
-
-    // 7. Service front-end throughput: a duplicate-heavy request stream
-    //    (2 000 requests drawn from 300 distinct queries — bursty traffic
-    //    repeats itself) through `OracleService` with coalescing, vs the
-    //    recorded direct `answer_batch` baseline on the same stream.
-    {
-        use ftspan_bench::{serve_request_stream, service_request_stream};
-        use ftspan_oracle::{OracleService, ServiceConfig};
-        // The exact stream the `service` criterion bench runs (shared via
-        // ftspan_bench::service_request_stream, so the recorded series and
-        // the smoke bench can never drift apart).
-        let stream: Vec<Query> = service_request_stream(n, batch_size, 300, 19);
-        let reps = 20;
-
-        // Drift check: the direct path on the same stream, printed but not
-        // recorded (its recorded value is the scenario's `before`).
-        let direct = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let _ = direct.answer_batch(&stream); // warm
-        let (_, direct_secs) = timed(|| {
-            for _ in 0..reps {
-                let _ = std::hint::black_box(direct.answer_batch(&stream));
-            }
-        });
-        println!(
-            "(service_batch drift check: direct answer_batch on this stream: {:.0} queries/s)",
-            (reps * batch_size) as f64 / direct_secs
-        );
-
-        let oracle = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let service = OracleService::new(oracle, ServiceConfig::default());
-        serve_request_stream(&service, &stream); // warm
-        let (_, secs) = timed(|| {
-            for _ in 0..reps {
-                serve_request_stream(std::hint::black_box(&service), &stream);
-            }
-        });
-        points.push(TrajectoryPoint {
-            name: "service_batch",
-            unit: "queries/s",
-            before: baseline("service_batch"),
-            after: (reps * batch_size) as f64 / secs,
-        });
-    }
-
-    // 7b. The same stream through the concurrent core's worker pool:
-    //     a single-threaded backend (`OracleOptions { workers: 1 }`) so the
-    //     only parallelism measured is the service's reader workers running
-    //     admission rounds concurrently against the published epoch. Its
-    //     `before` is a single-threaded direct `answer_batch` on the same
-    //     backend measured *this run*, so the speedup column is the honest
-    //     multi-worker scaling factor.
-    {
-        use ftspan_bench::{serve_request_stream, service_request_stream};
-        use ftspan_oracle::{OracleService, ServiceConfig};
-        let stream: Vec<Query> = service_request_stream(n, batch_size, 300, 19);
-        let reps = 20;
-        let single_thread = OracleOptions {
-            workers: 1,
-            ..OracleOptions::default()
-        };
-
-        let direct = FaultOracle::build(graph.clone(), params, single_thread.clone());
-        let _ = direct.answer_batch(&stream); // warm
-        let (_, direct_secs) = timed(|| {
-            for _ in 0..reps {
-                let _ = std::hint::black_box(direct.answer_batch(&stream));
-            }
-        });
-
-        let workers = std::thread::available_parallelism()
-            .map_or(2, usize::from)
-            .min(8);
-        let oracle = FaultOracle::build(graph.clone(), params, single_thread);
-        let service = OracleService::new(
-            oracle,
-            ServiceConfig::default()
-                .with_workers(workers)
-                .with_max_in_flight(64),
-        );
-        serve_request_stream(&service, &stream); // warm
-        let (_, secs) = timed(|| {
-            for _ in 0..reps {
-                serve_request_stream(std::hint::black_box(&service), &stream);
-            }
-        });
-        println!("(multi_worker_batch: {workers} service workers over a 1-thread backend)");
-        points.push(TrajectoryPoint {
-            name: "multi_worker_batch",
-            unit: "queries/s",
-            before: (reps * batch_size) as f64 / direct_secs,
-            after: (reps * batch_size) as f64 / secs,
-        });
-    }
-
-    // 8. The same stream through `ftspan-server` over loopback TCP, one
-    //    BATCH frame per rep. Its `before` is the in-process service
-    //    throughput measured *this run* (scenario 7), so the speedup column
-    //    is the honest wire tax — framing, codec, two socket hops, and the
-    //    service-thread handoff — and is expected to sit below 1.0.
-    {
-        use ftspan_server::{Client, Server, ServerConfig};
-        let stream: Vec<Query> = ftspan_bench::service_request_stream(n, batch_size, 300, 19);
-        let reps = 20;
-        let in_process = points
-            .iter()
-            .find(|p| p.name == "service_batch")
-            .expect("scenario 7 recorded")
-            .after;
-
-        let oracle = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let service =
-            ftspan_oracle::OracleService::new(oracle, ftspan_oracle::ServiceConfig::default());
-        let server = Server::start(service, "127.0.0.1:0", ServerConfig::default())
-            .expect("loopback server starts");
-        let mut client = Client::connect(server.local_addr()).expect("client connects");
-        let _ = client.batch(stream.clone()).expect("warm batch"); // warm
-        let (_, secs) = timed(|| {
-            for _ in 0..reps {
-                let _ = std::hint::black_box(client.batch(stream.clone()).expect("batch served"));
-            }
-        });
-        drop(client);
-        let _ = server.shutdown();
-        points.push(TrajectoryPoint {
-            name: "server_batch",
-            unit: "queries/s",
-            before: in_process,
-            after: (reps * batch_size) as f64 / secs,
-        });
-    }
-
-    // 9. Warm restart: restoring a 1 000-node sharded oracle from a
-    //    `Snapshot` vs building it cold. The restore skips greedy spanner
-    //    construction entirely (it replays the recorded spanner and
-    //    rebuilds only the deterministic per-shard serving state), so the
-    //    speedup column is the warm-restart win — the issue's floor is 10x.
-    //    The workload is deliberately dense (avg degree 20, f = 4): warm
-    //    restart matters exactly when construction is expensive, and at
-    //    this density the greedy pass dominates the cold build.
-    {
-        use ftspan_oracle::Snapshot;
-        let graph = gnp_workload(1_000, 20.0, 29);
-        let snap_params = SpannerParams::vertex(2, 4);
-        let options = ShardedOptions {
-            plan: ShardPlanOptions {
-                shards: 8,
-                ..ShardPlanOptions::default()
-            },
-            ..ShardedOptions::default()
-        };
-        let (oracle, cold_secs) =
-            timed(|| ShardedOracle::build(graph.clone(), snap_params, options.clone()));
-        let bytes = Snapshot::capture(&oracle);
-        let (restored, restore_secs) =
-            timed(|| Snapshot::restore::<ShardedOracle>(&bytes).expect("snapshot restores"));
-        assert_eq!(restored.epoch(), oracle.epoch(), "restore sanity");
-        assert_eq!(
-            restored.global().spanner().edge_count(),
-            oracle.global().spanner().edge_count(),
-            "restore sanity"
-        );
-        println!(
-            "(snapshot: {} bytes for n=1000; cold build {:.3} s, restore {:.4} s, {:.1}x)",
-            bytes.len(),
-            cold_secs,
-            restore_secs,
-            cold_secs / restore_secs
-        );
-        if cold_secs / restore_secs < 10.0 {
-            eprintln!(
-                "warning: snapshot restore is less than 10x faster than a cold build \
-                 ({:.1}x) — the warm-restart win has regressed",
-                cold_secs / restore_secs
-            );
-        }
-        points.push(TrajectoryPoint {
-            name: "snapshot_restore_sharded",
-            unit: "restores/s",
-            before: 1.0 / cold_secs,
-            after: 1.0 / restore_secs,
-        });
-    }
-
-    // 10. Chaos recovery: fault waves applied per second *through the
-    //     service barrier* (submit-to-publication, drain included).
-    //     `before` is uniform random waves measured this run; `after` is
-    //     an adversary aiming the same budget at the highest-degree
-    //     vertices — so the speedup column is the measured targeted-attack
-    //     tax on recovery (expected at or below 1.0).
-    {
-        use ftspan_oracle::chaos::high_degree_wave;
-        use ftspan_oracle::{OracleService, ServiceConfig};
-        // A scale-free topology: hubs exist, so aiming at them actually
-        // hurts (on an ER graph every vertex looks alike and the targeted
-        // column measures nothing).
-        let chaos_graph = ftspan_graph::generators::barabasi_albert(400, 4, &mut rng(31));
-        let chaos_params = SpannerParams::vertex(2, 2);
-        let mut wave_rng = rng(32);
-        let random_waves: Vec<FaultSet> = (0..8)
-            .map(|_| sample_fault_set(&chaos_graph, FaultModel::Vertex, 3, &[], &mut wave_rng))
-            .collect();
-        // Eight disjoint targeted waves: successive 3-vertex slices of the
-        // degree ranking, hardest hubs first.
-        let targeted_waves: Vec<FaultSet> = high_degree_wave(&chaos_graph, 24)
-            .vertex_faults()
-            .chunks(3)
-            .map(|chunk| FaultSet::vertices(chunk.iter().copied()))
-            .collect();
-        let measure = |waves: &[FaultSet]| {
-            let oracle =
-                FaultOracle::build(chaos_graph.clone(), chaos_params, OracleOptions::default());
-            let service = OracleService::new(oracle, ServiceConfig::default());
-            let (_, secs) = timed(|| {
-                for wave in waves {
-                    let ticket = service.submit_wave(wave.clone());
-                    let _ = std::hint::black_box(service.wait(ticket));
-                }
-            });
-            waves.len() as f64 / secs
-        };
-        points.push(TrajectoryPoint {
-            name: "chaos_recovery",
-            unit: "waves/s",
-            before: measure(&random_waves),
-            after: measure(&targeted_waves),
-        });
-    }
-
-    // 11. Chaos shed rate: tickets shed per 1 000 submitted when a burst
-    //     overruns a bounded admission queue (`max_pending` = 256, burst =
-    //     2 000). `before` is a uniform stream; `after` is the Zipf
-    //     flash crowd — duplicate-heavy, so coalescing absorbs most of it
-    //     without spending queue slots. The speedup column is the measured
-    //     flash-crowd absorption factor (well below 1.0 when coalescing
-    //     does its job).
-    {
-        use ftspan_oracle::chaos::zipf_queries;
-        use ftspan_oracle::{OracleService, ServiceConfig};
-        let chaos_graph = gnp_workload(400, 8.0, 31);
-        let chaos_params = SpannerParams::vertex(2, 2);
-        let empty = FaultSet::empty(FaultModel::Vertex);
-        let uniform: Vec<Query> = {
-            let mut r = rng(33);
-            (0..batch_size)
-                .map(|_| {
-                    let u = vid(r.gen_range(0..400));
-                    let mut v = vid(r.gen_range(0..400));
-                    while v == u {
-                        v = vid(r.gen_range(0..400));
-                    }
-                    Query::distance(u, v, empty.clone())
-                })
-                .collect()
-        };
-        let flash_crowd = zipf_queries(&chaos_graph, batch_size, 1.4, &empty, 34);
-        let shed_per_1k = |stream: &[Query]| {
-            let oracle =
-                FaultOracle::build(chaos_graph.clone(), chaos_params, OracleOptions::default());
-            let service =
-                OracleService::new(oracle, ServiceConfig::default().with_max_pending(256));
-            for ticket in service.submit_batch_ref(stream.iter()) {
-                let _ = std::hint::black_box(service.wait(ticket));
-            }
-            let metrics = service.metrics();
-            1_000.0 * metrics.shed as f64 / metrics.submitted.max(1) as f64
-        };
-        points.push(TrajectoryPoint {
-            name: "chaos_shed_rate",
-            unit: "shed/1k",
-            before: shed_per_1k(&uniform),
-            after: shed_per_1k(&flash_crowd),
-        });
-    }
-
-    // 12. Replication catch-up: wave-history entries covered per second on
-    //     the way to serving at the primary's epoch. The cold standby
-    //     rebuilds the oracle from the graph and replays the full 30-wave
-    //     journal; the replica restores the primary's latest snapshot
-    //     (taken 5 waves back, the realistic periodic-capture gap) and
-    //     replays only the digest-verified tail. The speedup column is the
-    //     failover-readiness win.
-    {
-        use ftspan_oracle::{
-            ChurnConfig, JournalEntry, Replica, Snapshot, SpannerOracle, WaveJournal,
-        };
-        let graph = gnp_workload(400, 8.0, 41);
-        let churn = ChurnConfig::default();
-        let mut primary = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let mut journal = WaveJournal::new(primary.epoch());
-        let mut wave_rng = rng(42);
-        let n_waves = 30usize;
-        let snapshot_at = 25u64;
-        let mut bootstrap = Vec::new();
-        for _ in 0..n_waves {
-            let wave = sample_fault_set(primary.graph(), FaultModel::Vertex, 2, &[], &mut wave_rng);
-            // The trait method, explicitly: it returns the digestable
-            // `WaveReport` (the inherent `apply_wave` returns the bare
-            // outcome and would shadow it).
-            let report = SpannerOracle::apply_wave(&mut primary, &wave, &churn);
-            journal
-                .append(JournalEntry {
-                    epoch: primary.epoch(),
-                    wave,
-                    report_digest: report.digest(),
-                })
-                .expect("journal accepts the primary's own history");
-            if primary.epoch() == snapshot_at {
-                bootstrap = Snapshot::capture(&primary);
-            }
-        }
-        let (_, cold_secs) = timed(|| {
-            let mut standby = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-            for entry in journal.entries() {
-                let _ = std::hint::black_box(SpannerOracle::apply_wave(
-                    &mut standby,
-                    &entry.wave,
-                    &churn,
-                ));
-            }
-        });
-        let (replica, warm_secs) = timed(|| {
-            let mut replica: Replica<FaultOracle> =
-                Replica::bootstrap(&bootstrap, churn.clone()).expect("replica bootstraps");
-            replica
-                .catch_up(journal.entries_since(snapshot_at).expect("tail in window"))
-                .expect("replay stays convergent");
-            replica
-        });
-        assert_eq!(replica.epoch(), primary.epoch(), "catch-up sanity");
-        points.push(TrajectoryPoint {
-            name: "replica_catchup",
-            unit: "entries/s",
-            before: n_waves as f64 / cold_secs,
-            after: n_waves as f64 / warm_secs,
-        });
-    }
-
-    // 13. Replica read scaling: aggregate BATCH throughput of three
-    //     loopback clients — all three on the primary (`before`) vs spread
-    //     across the primary and two snapshot-bootstrapped, caught-up
-    //     replicas (`after`). Same clients, same streams both ways, so the
-    //     speedup column is what adding two read replicas actually buys.
-    //     Each client sends its *own* stream (distinct seeds): identical
-    //     streams would hand the single-primary run a cross-connection
-    //     coalescing win no replicated deployment ever sees.
-    {
-        use ftspan_oracle::{OracleService, ServiceConfig};
-        use ftspan_server::{Client, ReplicaServer, Server, ServerConfig};
-        let streams: Vec<Vec<Query>> = (0..3)
-            .map(|i| ftspan_bench::service_request_stream(n, batch_size, 300, 19 + i))
-            .collect();
-        let reps = 10usize;
-        let oracle = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-        let service = OracleService::new(oracle, ServiceConfig::default());
-        let primary = Server::start(service, "127.0.0.1:0", ServerConfig::default())
-            .expect("loopback primary starts");
-        let replicas: Vec<ReplicaServer<FaultOracle>> = (0..2)
-            .map(|_| {
-                ReplicaServer::start(
-                    primary.local_addr(),
-                    "127.0.0.1:0",
-                    ServiceConfig::default(),
-                    ServerConfig::default(),
-                )
-                .expect("replica bootstraps")
-            })
-            .collect();
-        let run = |addrs: [std::net::SocketAddr; 3]| {
-            let (_, secs) = timed(|| {
-                std::thread::scope(|scope| {
-                    for (addr, stream) in addrs.into_iter().zip(&streams) {
-                        scope.spawn(move || {
-                            let mut client = Client::connect(addr).expect("client connects");
-                            for _ in 0..reps {
-                                let _ = std::hint::black_box(
-                                    client.batch(stream.clone()).expect("batch served"),
-                                );
-                            }
-                        });
-                    }
-                });
-            });
-            (3 * reps * batch_size) as f64 / secs
-        };
-        let p = primary.local_addr();
-        let before = run([p, p, p]);
-        let after = run([p, replicas[0].local_addr(), replicas[1].local_addr()]);
-        for replica in replicas {
-            let _ = replica.shutdown();
-        }
-        let _ = primary.shutdown();
-        points.push(TrajectoryPoint {
-            name: "replica_read_scaling",
-            unit: "queries/s",
-            before,
-            after,
-        });
-    }
-
-    let fmt = |v: f64| {
-        if v < 1_000.0 {
-            format!("{v:.2}")
-        } else {
-            format!("{v:.0}")
-        }
-    };
-    let lines: Vec<(String, String)> = points
-        .iter()
-        .map(|p| {
-            let speedup = if p.before > 0.0 {
-                p.after / p.before
-            } else {
-                0.0
-            };
-            println!(
-                "{:<24} {:>12} -> {:>12} {} ({:.2}x)",
-                p.name,
-                fmt(p.before),
-                fmt(p.after),
-                p.unit,
-                speedup
-            );
-            (
-                p.name.to_owned(),
-                render_scenario(p.name, p.unit, p.before, p.after),
-            )
-        })
-        .collect();
-    write_merged_trajectory(&lines);
-    println!(
-        "note: README.md (Service front-end) and ROADMAP.md quote the service_batch \
-         and multi_worker_batch speedups — re-pin both whenever this table moves, \
-         or the prose drifts from the recorded trajectory."
-    );
-}
-
-/// One E13 sweep: builds a `ShardedOracle` per requested shard count, serves
-/// the shared batch, and prints the comparison table against the single
-/// oracle's throughput.
-fn print_shard_sweep(
-    graph: &ftspan_graph::Graph,
-    params: SpannerParams,
-    shard_counts: &[usize],
-    queries: &[ftspan_oracle::Query],
-    single_qps: f64,
-) {
-    use ftspan_oracle::{ShardPlanOptions, ShardedOptions, ShardedOracle};
-
-    let batch_size = queries.len();
-    let mut rows = Vec::new();
-    for &shards in shard_counts {
-        let options = ShardedOptions {
-            plan: ShardPlanOptions {
-                shards,
-                ..ShardPlanOptions::default()
-            },
-            ..ShardedOptions::default()
-        };
-        let (oracle, build_secs) = timed(|| ShardedOracle::build(graph.clone(), params, options));
-        let (_, secs) = timed(|| oracle.answer_batch(queries));
-        let snap = oracle.metrics().snapshot();
-        let largest_region = (0..oracle.shard_count())
-            .map(|s| oracle.shard_members(s).len())
-            .max()
-            .unwrap_or(0);
-        rows.push(vec![
-            shards.to_string(),
-            oracle.shard_count().to_string(),
-            largest_region.to_string(),
-            oracle.boundary().cut_edges().len().to_string(),
-            format!("{:.1}", 100.0 * snap.locality_rate()),
-            snap.global_fallbacks.to_string(),
-            format!("{:.0}", batch_size as f64 / secs),
-            format!("{:.2}", (batch_size as f64 / secs) / single_qps),
-            format!("{build_secs:.1}"),
-        ]);
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "shards requested",
-                "shards",
-                "largest region",
-                "cut edges",
-                "locality %",
-                "fallbacks",
-                "queries/s",
-                "vs single",
-                "build s"
-            ],
-            &rows
-        )
-    );
-}
-
-/// E13: sharded serving — locality, boundary size, and throughput vs the
-/// single oracle, including the no-sharding-tax check on a 1-shard plan.
-fn experiment_shard() {
-    use ftspan::{sample_fault_set, FaultSet};
-    use ftspan_oracle::{FaultOracle, OracleOptions, Query};
-
-    println!("\n## E13 — ShardedOracle: locality, boundary, and throughput vs single\n");
-    let n = 1_000;
-    let batch_size = 2_000;
-    let graph = gnp_workload(n, 16.0, 16);
-    let params = SpannerParams::vertex(2, 2);
-    let single = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-
-    // One shared batch: hot sources over a pool of fault sets.
-    let mut query_rng = rng(17);
-    let fault_pool: Vec<FaultSet> = (0..8)
-        .map(|_| sample_fault_set(single.graph(), FaultModel::Vertex, 2, &[], &mut query_rng))
-        .collect();
-    let hot_sources: Vec<usize> = (0..32).map(|_| query_rng.gen_range(0..n)).collect();
-    let queries: Vec<Query> = (0..batch_size)
-        .map(|i| {
-            let u = vid(hot_sources[query_rng.gen_range(0..hot_sources.len())]);
-            let v = vid(query_rng.gen_range(0..n));
-            Query::distance(u, v, fault_pool[i % fault_pool.len()].clone())
-        })
-        .collect();
-
-    let (_, single_secs) = timed(|| single.answer_batch(&queries));
-    let single_qps = batch_size as f64 / single_secs;
-
-    print_shard_sweep(&graph, params, &[1, 2, 4, 8], &queries, single_qps);
-    println!(
-        "(input: gnp n = {n}, m = {}; single oracle: {single_qps:.0} queries/s; \
-         the 1-shard row is the no-sharding-tax check — its ratio must stay above 0.5.\n\
-         A diameter-3 gnp graph is sharding's worst case: the 2k − 1 halo covers \
-         everything, so regions cannot shrink.)",
-        graph.edge_count()
-    );
-
-    // The intended regime: moderate diameter, where regions stay small and
-    // per-shard state actually shrinks. (The geometric workload is not used
-    // here because its random-spanning-tree overlay collapses the hop
-    // diameter; a grid keeps genuine distance structure.)
-    println!("\n### Grid workload (moderate diameter)\n");
-    let graph = ftspan_graph::generators::grid(33, 30);
-    let n = graph.vertex_count();
-    let single = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-    let mut r = rng(19);
-    let fault_pool: Vec<FaultSet> = (0..8)
-        .map(|_| sample_fault_set(single.graph(), FaultModel::Vertex, 2, &[], &mut r))
-        .collect();
-    let local_queries: Vec<Query> = {
-        // Locality-biased traffic: most pairs are near each other, the shape
-        // sharded deployments see.
-        let mut scratch = ftspan_graph::bfs::BfsScratch::new();
-        (0..batch_size)
-            .map(|i| {
-                let u = vid(r.gen_range(0..n));
-                let near = scratch.hop_distances_within(&graph, u, 4);
-                let candidates: Vec<usize> = near
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, d)| d.is_some() && *j != u.index())
-                    .map(|(j, _)| j)
-                    .collect();
-                let v = vid(candidates[r.gen_range(0..candidates.len())]);
-                Query::distance(u, v, fault_pool[i % fault_pool.len()].clone())
-            })
-            .collect()
-    };
-    let (_, single_secs) = timed(|| single.answer_batch(&local_queries));
-    let single_qps = batch_size as f64 / single_secs;
-    print_shard_sweep(&graph, params, &[1, 4, 8], &local_queries, single_qps);
-    println!(
-        "(grid n = {n}, m = {}, locality-biased traffic; single oracle: {single_qps:.0} queries/s)",
-        graph.edge_count()
-    );
-}
-
-/// E14 — the scale tier: parallel construction throughput across four
-/// graph families, then two-level sharding vs flat sharding (memory per
-/// edge and batch query throughput) on the moderate-diameter headline
-/// workload. Full mode (10^5 nodes; 10^6 with `FTSPAN_LONG_TESTS=1`)
-/// merges the `scale_build`, `mem_bytes_per_edge`, and `scale_query`
-/// series into `BENCH_oracle.json`; quick mode (reduced n, the CI smoke)
-/// only prints.
-fn experiment_scale(quick: bool) {
-    use ftspan::FaultSet;
-    use ftspan_oracle::{
-        HierarchicalOptions, HierarchicalOracle, Query, ShardPlan, ShardPlanOptions, ShardedOracle,
-    };
-
-    let long = std::env::var("FTSPAN_LONG_TESTS").is_ok_and(|v| v == "1");
-    let base_n: usize = std::env::var("FTSPAN_SCALE_N")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 5_000 } else { 100_000 });
-    let sizes: Vec<usize> = if long && !quick {
-        vec![base_n, 1_000_000]
-    } else {
-        vec![base_n]
-    };
-    let threads = 8;
-    // k = 2, f = 2: the t = 3 LBC decisions stay hop-local (what makes
-    // 10^5-node greedy construction tractable at all), while the f = 2
-    // fault budget keeps each decision expensive enough that speculative
-    // parallel batches beat the sequential sweep.
-    let params = SpannerParams::vertex(2, 2);
-
-    println!("\n## E14 — Scale tier: parallel construction and two-level sharding\n");
-    println!(
-        "(mode: {}, sizes: {sizes:?}, {threads} construction threads)\n",
-        if quick { "quick" } else { "full" }
-    );
-
-    let side = |n: usize| (n as f64).sqrt().round() as usize;
-    let geo_radius = |n: usize| (16.0 / (std::f64::consts::PI * n as f64)).sqrt();
-    let mut rows = Vec::new();
-    // The headline workload the recorded series come from: the largest
-    // grid (moderate diameter — the regime sharding is for; see E13).
-    let mut headline: Option<(ftspan_graph::Graph, SpannerResultPair)> = None;
-    for &n in &sizes {
-        for family in ["grid", "erdos_renyi", "barabasi_albert", "geometric"] {
-            let (graph, gen_secs) = timed(|| match family {
-                "grid" => ftspan_graph::generators::grid(side(n), n / side(n)),
-                "erdos_renyi" => gnp_workload(n, 6.0, 41),
-                "barabasi_albert" => ftspan_graph::generators::barabasi_albert(n, 3, &mut rng(42)),
-                _ => geometric_workload(n, geo_radius(n), 43),
-            });
-            let m = graph.edge_count();
-            let (sequential, seq_secs) = timed(|| poly_greedy_spanner(&graph, params));
-            let batch_size: usize = std::env::var("FTSPAN_SCALE_BATCH")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0); // 0 = adaptive batch sizing
-            let opts = ftspan::ParallelGreedyOptions {
-                threads,
-                batch_size,
-                base: Default::default(),
-            };
-            let ((result, speculation), par_secs) =
-                timed(|| ftspan::par_poly_greedy_spanner_traced(&graph, params, &opts));
-            assert_eq!(
-                result.spanner.edge_count(),
-                sequential.spanner.edge_count(),
-                "parallel construction must be bit-identical to sequential ({family})"
-            );
-            let decided = speculation.speculative_hits + speculation.recomputed;
-            let busy = speculation.decide_busy.as_secs_f64();
-            let serial = speculation.commit_wall.as_secs_f64();
-            rows.push(vec![
-                family.to_owned(),
-                graph.vertex_count().to_string(),
-                m.to_string(),
-                sequential.spanner.edge_count().to_string(),
-                format!("{gen_secs:.1}"),
-                format!("{seq_secs:.1}"),
-                format!("{par_secs:.1}"),
-                format!("{:.2}", seq_secs / par_secs),
-                format!(
-                    "{:.0}",
-                    100.0 * speculation.speculative_hits as f64 / decided.max(1) as f64
-                ),
-                format!("{busy:.1}"),
-                format!("{serial:.1}"),
-                format!("{:.1}", seq_secs / (busy / threads as f64 + serial)),
-            ]);
-            if family == "grid" {
-                headline = Some((
-                    graph,
-                    SpannerResultPair {
-                        result,
-                        seq_edges_per_sec: m as f64 / seq_secs,
-                        par_edges_per_sec: m as f64 / par_secs,
-                    },
-                ));
-            }
-        }
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "family",
-                "n",
-                "m",
-                "|E(H)|",
-                "gen s",
-                "seq build s",
-                "par build s (8t)",
-                "speedup",
-                "hit %",
-                "decide busy s",
-                "serial commit s",
-                "8-core bound"
-            ],
-            &rows
-        )
-    );
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!(
-        "(speedup is measured on this host, which offers {cores} core(s) to the \
-         {threads} workers; `decide busy s` sums per-worker wall-clock in the \
-         speculative decide phase — when workers outnumber cores, preemption \
-         inflates it above the true decide CPU time — so `8-core bound` = \
-         seq / (busy/8 + serial commit) is a conservative floor on the speedup \
-         the measured decide/commit split supports on a full 8-core host)\n"
-    );
-
-    // Two-level vs flat sharding on the headline grid: same spanner, same
-    // leaf plan, so the deltas isolate the hierarchy itself.
-    let (graph, spanner) = headline.expect("grid family always runs");
-    let n = graph.vertex_count();
-    let m = graph.edge_count();
-    let leaves = if quick { 16 } else { 64 };
-    let plan_options = ShardPlanOptions {
-        shards: leaves,
-        ..ShardPlanOptions::default()
-    };
-    let leaf_plan = ShardPlan::build(&graph, &plan_options);
-    let hier_options = HierarchicalOptions {
-        plan: plan_options,
-        ..HierarchicalOptions::default()
-    };
-    let (flat, flat_secs) = timed(|| {
-        ShardedOracle::from_result(
-            graph.clone(),
-            spanner.result.clone(),
-            leaf_plan.clone(),
-            hier_options.flat(),
-        )
-    });
-    let (hier, hier_secs) = timed(|| {
-        HierarchicalOracle::from_result(
-            graph.clone(),
-            spanner.result.clone(),
-            leaf_plan,
-            hier_options,
-        )
-    });
-
-    // Locality-biased traffic (the sharded-deployment shape, as in E13):
-    // every pair within 8 hops, over a pool of hot fault sets.
-    let batch_size = 2_000;
-    let queries: Vec<Query> = {
-        let mut r = rng(45);
-        let fault_pool: Vec<FaultSet> = (0..8)
-            .map(|_| {
-                let a = vid(r.gen_range(0..n));
-                let b = vid(r.gen_range(0..n));
-                FaultSet::vertices([a, b])
-            })
-            .collect();
-        let mut scratch = ftspan_graph::bfs::BfsScratch::new();
-        (0..batch_size)
-            .map(|i| {
-                let u = vid(r.gen_range(0..n));
-                let near = scratch.hop_distances_within(&graph, u, 8);
-                let candidates: Vec<usize> = near
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, d)| d.is_some() && *j != u.index())
-                    .map(|(j, _)| j)
-                    .collect();
-                let v = vid(candidates[r.gen_range(0..candidates.len())]);
-                Query::distance(u, v, fault_pool[i % fault_pool.len()].clone())
-            })
-            .collect()
-    };
-    let _ = flat.answer_batch(&queries); // warm
-    let (flat_answers, flat_query_secs) = timed(|| flat.answer_batch(&queries));
-    let _ = hier.answer_batch(&queries); // warm
-    let (hier_answers, hier_query_secs) = timed(|| hier.answer_batch(&queries));
-    for (f, h) in flat_answers.iter().zip(&hier_answers) {
-        assert_eq!(
-            f.distance(),
-            h.distance(),
-            "hierarchical answers must be bit-identical to flat sharding"
-        );
-    }
-    let flat_qps = batch_size as f64 / flat_query_secs;
-    let hier_qps = batch_size as f64 / hier_query_secs;
-    let flat_bpe = flat.memory_bytes() as f64 / m as f64;
-    let hier_bpe = hier.memory_bytes() as f64 / m as f64;
-    let hier_snapshot = hier.metrics().snapshot();
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "backend",
-                "shards",
-                "boundary pairs",
-                "wrap s",
-                "bytes/edge",
-                "queries/s"
-            ],
-            &[
-                vec![
-                    "flat sharded".into(),
-                    flat.shard_count().to_string(),
-                    flat.boundary().adjacent_pairs().len().to_string(),
-                    format!("{flat_secs:.1}"),
-                    format!("{flat_bpe:.0}"),
-                    format!("{flat_qps:.0}"),
-                ],
-                vec![
-                    format!("hier {}x{}", hier.super_count(), hier.leaf_count()),
-                    hier.leaf_count().to_string(),
-                    hier.boundary().adjacent_pairs().len().to_string(),
-                    format!("{hier_secs:.1}"),
-                    format!("{hier_bpe:.0}"),
-                    format!("{hier_qps:.0}"),
-                ],
-            ]
-        )
-    );
-    println!(
-        "(headline grid n = {n}, m = {m}; construction {:.0} -> {:.0} edges/s at {threads} \
-         threads; hierarchical locality {:.1}%, distances bit-identical to flat on all \
-         {batch_size} queries)",
-        spanner.seq_edges_per_sec,
-        spanner.par_edges_per_sec,
-        100.0 * hier_snapshot.locality_rate(),
-    );
-
-    if quick {
-        println!("\n(quick mode: BENCH_oracle.json left untouched)");
-        return;
-    }
-    let lines: Vec<(String, String)> = [
-        (
-            "scale_build",
-            "edges/s",
-            spanner.seq_edges_per_sec,
-            spanner.par_edges_per_sec,
-        ),
-        ("mem_bytes_per_edge", "bytes/edge", flat_bpe, hier_bpe),
-        ("scale_query", "queries/s", flat_qps, hier_qps),
-    ]
-    .into_iter()
-    .map(|(name, unit, before, after)| {
-        (name.to_owned(), render_scenario(name, unit, before, after))
-    })
-    .collect();
-    write_merged_trajectory(&lines);
-}
-
-/// The headline construction measurement carried from the family sweep to
-/// the sharding comparison.
-struct SpannerResultPair {
-    result: ftspan::SpannerResult,
-    seq_edges_per_sec: f64,
-    par_edges_per_sec: f64,
 }

@@ -1,5 +1,5 @@
-//! Shared workload generation and measurement helpers for the Criterion
-//! benches and the `experiments` table harness.
+//! Shared workload generation and measurement helpers for the
+//! `experiments` table harness.
 
 use std::time::Instant;
 
@@ -32,65 +32,6 @@ pub fn geometric_workload(n: usize, radius: f64, seed: u64) -> Graph {
     g
 }
 
-/// The duplicate-heavy request stream of the `service_batch` scenarios:
-/// `batch` requests drawn (with repetition) from a pool of `distinct`
-/// distinct queries over 8 hot fault sets, mixing path and distance kinds.
-/// Shared by the `service` criterion bench and the `bench-trajectory`
-/// harness so both measure **exactly** the same workload — the recorded
-/// `BENCH_oracle.json` series stays comparable to the smoke bench.
-#[must_use]
-pub fn service_request_stream(
-    n_vertices: usize,
-    batch: usize,
-    distinct: usize,
-    seed: u64,
-) -> Vec<ftspan_oracle::Query> {
-    use ftspan::FaultSet;
-    use ftspan_graph::vid;
-    use ftspan_oracle::Query;
-    use rand::Rng;
-
-    let mut r = rng(seed);
-    let waves: Vec<FaultSet> = (0..8)
-        .map(|_| {
-            let a = vid(r.gen_range(0..n_vertices));
-            let b = vid(r.gen_range(0..n_vertices));
-            FaultSet::vertices([a, b])
-        })
-        .collect();
-    let pool: Vec<Query> = (0..distinct)
-        .map(|i| {
-            let u = vid(r.gen_range(0..n_vertices));
-            let mut v = vid(r.gen_range(0..n_vertices));
-            while v == u {
-                v = vid(r.gen_range(0..n_vertices));
-            }
-            let faults = waves[i % waves.len()].clone();
-            if i % 4 == 0 {
-                Query::path(u, v, faults)
-            } else {
-                Query::distance(u, v, faults)
-            }
-        })
-        .collect();
-    (0..batch)
-        .map(|_| pool[r.gen_range(0..pool.len())].clone())
-        .collect()
-}
-
-/// Serves one request stream through an [`ftspan_oracle::OracleService`]:
-/// submit everything (one batched lock acquisition, the way the TCP
-/// front-end does), drain, recycle the ticket slots. The unit of work
-/// both `service_batch` measurements time.
-pub fn serve_request_stream<O: ftspan_oracle::SpannerOracle + 'static>(
-    service: &ftspan_oracle::OracleService<O>,
-    stream: &[ftspan_oracle::Query],
-) {
-    let _ = service.submit_batch_ref(stream.iter());
-    let _ = service.drain();
-    service.recycle();
-}
-
 /// Times a closure, returning its result and the elapsed seconds.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -99,7 +40,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Formats a markdown table from a header and rows, used by the experiment
-/// harness so EXPERIMENTS.md can embed its output verbatim.
+/// harness so its output can be pasted into docs verbatim.
 #[must_use]
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
@@ -151,19 +92,5 @@ mod tests {
         let (v, secs) = timed(|| 21 * 2);
         assert_eq!(v, 42);
         assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn service_stream_is_deterministic_and_duplicate_heavy() {
-        let a = service_request_stream(50, 200, 30, 19);
-        let b = service_request_stream(50, 200, 30, 19);
-        assert_eq!(a.len(), 200);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.u, x.v, x.kind), (y.u, y.v, y.kind));
-            assert_eq!(x.faults, y.faults);
-        }
-        // Drawn with repetition from 30 distinct queries: duplicates exist.
-        let distinct: std::collections::HashSet<_> = a.iter().map(|q| (q.u, q.v, q.kind)).collect();
-        assert!(distinct.len() < a.len());
     }
 }

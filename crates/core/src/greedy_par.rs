@@ -128,8 +128,8 @@ pub fn par_poly_greedy_spanner_with(
 }
 
 /// Like [`par_poly_greedy_spanner_with`], additionally returning the
-/// speculation counters (used by the scale experiments to report conflict
-/// rates).
+/// speculation counters (hits, recomputations and flushes, from which the
+/// conflict rate follows).
 #[must_use]
 pub fn par_poly_greedy_spanner_traced(
     graph: &Graph,

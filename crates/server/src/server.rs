@@ -44,13 +44,18 @@
 //!   apply per round. Queries the service sheds come back as per-entry
 //!   [`BatchEntry::Shed`] (or [`ShedReason::Admission`] for single
 //!   queries).
+//! * **Accepting**: the accept loop blocks in `accept`; shutdown wakes it
+//!   with a connection to its own address. Errors about one peer
+//!   (`ECONNABORTED`, `ECONNRESET`) are retried at once, and resource
+//!   errors (`EMFILE`, `ENFILE`, …) after a short back-off, so one failed
+//!   `accept` never stops the server from accepting.
 //! * **Graceful drain**: [`Server::shutdown`] stops accepting, unblocks
 //!   every connection, joins every handler (each finishes its in-flight
 //!   request first) — then hands the warm [`OracleService`] back to the
 //!   caller (ready for [`Snapshot::capture`]).
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -79,8 +84,6 @@ pub struct ServerConfig {
     /// each connection gets exactly `rate_capacity` requests, which makes
     /// shedding deterministic (the configuration the e2e tests pin).
     pub rate_refill_per_sec: f64,
-    /// How often the accept loop polls for shutdown between connections.
-    pub accept_poll: Duration,
     /// Token cost of a `METRICS` request. Floored at 1: telemetry is
     /// cheap but never free.
     pub metrics_cost: u32,
@@ -115,7 +118,6 @@ impl Default for ServerConfig {
             max_in_flight_per_conn: 256,
             rate_capacity: 0,
             rate_refill_per_sec: 0.0,
-            accept_poll: Duration::from_millis(20),
             metrics_cost: 1,
             snapshot_cost: 1,
             read_timeout: Some(Duration::from_secs(30)),
@@ -275,7 +277,6 @@ where
         accepts_waves: bool,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
@@ -405,18 +406,23 @@ where
     /// Panics if a server thread panicked.
     #[must_use]
     pub fn shutdown(mut self) -> OracleService<O> {
-        self.begin_shutdown();
+        assert!(self.stop_threads(), "server threads must not panic");
         let service = self.service.take().expect("service present until shutdown");
         match Arc::try_unwrap(service) {
             Ok(service) => service,
             Err(_) => panic!("a connection handler outlived shutdown"),
         }
     }
+}
 
-    /// Closes every connection, then joins the snapshot timer, the accept
-    /// thread, and every handler (handlers observe the closed socket,
-    /// finish their in-flight request, and exit).
-    fn begin_shutdown(&mut self) {
+impl<O: SpannerOracle + 'static> Server<O> {
+    /// Stops the replication follower and joins the snapshot timer, wakes
+    /// and joins the accept thread, then closes every connection and joins
+    /// every handler (handlers observe the closed socket, finish their
+    /// in-flight request, and exit). The accept thread is joined before
+    /// the connections are closed, so no connection can register after
+    /// the close. Returns `false` if the timer or accept thread panicked.
+    fn stop_threads(&mut self) -> bool {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(follower) = self
             .role
@@ -428,8 +434,13 @@ where
             follower.stop_and_join();
         }
         self.timer_signal.1.notify_all();
+        let mut clean = true;
         if let Some(timer) = self.snapshot_thread.take() {
-            timer.join().expect("snapshot timer must not panic");
+            clean &= timer.join().is_ok();
+        }
+        if let Some(accept) = self.accept_thread.take() {
+            wake_accept(self.local_addr);
+            clean &= accept.join().is_ok();
         }
         for conn in self
             .conns
@@ -439,51 +450,39 @@ where
         {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        if let Some(accept) = self.accept_thread.take() {
-            accept.join().expect("accept thread must not panic");
-        }
         let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
         for handler in handlers {
             let _ = handler.join();
         }
+        clean
     }
 }
 
 impl<O: SpannerOracle + 'static> Drop for Server<O> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(follower) = self
-            .role
-            .follower
-            .lock()
-            .expect("role state poisoned")
-            .take()
-        {
-            follower.stop_and_join();
-        }
-        self.timer_signal.1.notify_all();
-        if let Some(timer) = self.snapshot_thread.take() {
-            let _ = timer.join();
-        }
-        for conn in self
-            .conns
-            .lock()
-            .expect("connection list poisoned")
-            .drain(..)
-        {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(accept) = self.accept_thread.take() {
-            let _ = accept.join();
-        }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
-        for handler in handlers {
-            let _ = handler.join();
-        }
+        self.stop_threads();
         // Dropping the service Arc last: with every handler joined this is
         // the final reference, so the service joins its workers here.
         self.service.take();
     }
+}
+
+/// Pause before retrying an `accept` error that is not about one peer
+/// (`EMFILE`, `ENFILE`, `ENOBUFS`, …), so the loop does not spin while
+/// the resource frees up.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Unblocks the accept loop's blocking `accept` by connecting to the
+/// listener; the loop then sees the shutdown flag and exits. A wildcard
+/// bind address is reached through loopback.
+fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -497,8 +496,11 @@ fn accept_loop<O: SpannerOracle + Snapshottable + 'static>(
     vertex_count: usize,
     role: &Arc<RoleState>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            // The wake-up connection from `stop_threads`, or a client that
+            // raced shutdown: either way, stop accepting.
+            Ok(_) if shutdown.load(Ordering::SeqCst) => return,
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 if let Ok(clone) = stream.try_clone() {
@@ -524,10 +526,16 @@ fn accept_loop<O: SpannerOracle + Snapshottable + 'static>(
                     handlers.lock().expect("handler list poisoned").push(handle);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(config.accept_poll);
-            }
-            Err(_) => break,
+            Err(_) if shutdown.load(Ordering::SeqCst) => return,
+            // The peer gave up before it was accepted: nothing to wait for.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::ConnectionReset
+                        | io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }

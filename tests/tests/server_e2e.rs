@@ -481,3 +481,50 @@ fn dropping_the_server_does_not_hang() {
     }
     assert!(failed, "connection must observe the shutdown");
 }
+
+/// The accept loop blocks in `accept`; shutdown wakes it with a connection
+/// to the server's own address. An idle server — bound to loopback or to
+/// the wildcard address, reached through loopback — must shut down at once,
+/// not after a poll interval or a client's arrival.
+#[test]
+fn shutting_down_an_idle_server_returns_promptly() {
+    use std::time::{Duration, Instant};
+
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let service = OracleService::new(build_backend(7601), ServiceConfig::default());
+        let server = Server::start(service, addr, ServerConfig::default()).expect("server starts");
+        thread::sleep(Duration::from_millis(50));
+        // Shut down on a helper thread so a regression fails the test
+        // instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let start = Instant::now();
+            let _ = server.shutdown();
+            let _ = done.send(start.elapsed());
+        });
+        let elapsed = finished
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("idle shutdown on {addr} did not return"));
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "idle shutdown on {addr} took {elapsed:?}"
+        );
+    }
+}
+
+/// A connection opened the moment `Server::start` returns is accepted and
+/// served; the server then keeps accepting further connections.
+#[test]
+fn a_connection_opened_right_after_start_is_served() {
+    let service = OracleService::new(build_backend(7602), ServiceConfig::default());
+    let server =
+        Server::start(service, "127.0.0.1:0", ServerConfig::default()).expect("server starts");
+    for _ in 0..3 {
+        let mut client = Client::connect(server.local_addr()).expect("client connects");
+        let reply = client
+            .distance(vid(0), vid(3), FaultSet::empty(FaultModel::Vertex))
+            .expect("served");
+        assert!(matches!(reply, Reply::Answer(_)), "unexpected {reply:?}");
+    }
+    let _ = server.shutdown();
+}

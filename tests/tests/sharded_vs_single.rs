@@ -275,8 +275,7 @@ fn weighted_geometric_matches_single_oracle() {
 
 /// A 1-shard plan is the degenerate case: one region covering the graph, an
 /// empty frontier, and therefore no certificate failures and no global
-/// fallbacks — the "no sharding tax" configuration the criterion bench
-/// measures throughput on.
+/// fallbacks — the "no sharding tax" configuration.
 #[test]
 fn one_shard_plan_is_equivalent_and_never_falls_back() {
     let mut r = rng(8105);
