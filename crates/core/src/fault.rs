@@ -23,7 +23,6 @@ use crate::FaultModel;
 /// assert_eq!(view.live_vertex_count(), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultSet {
     /// A set of failed vertices.
     Vertices(Vec<VertexId>),

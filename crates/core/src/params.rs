@@ -10,7 +10,6 @@ use crate::error::{Result, SpannerError};
 /// faults and notes that the edge-fault proofs are "essentially identical";
 /// both variants are implemented throughout this crate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultModel {
     /// Up to `f` vertices may fail (`f`-VFT).
     #[default]
@@ -47,7 +46,6 @@ impl fmt::Display for FaultModel {
 /// assert_eq!(edge.fault_model(), FaultModel::Edge);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpannerParams {
     k: u32,
     f: u32,

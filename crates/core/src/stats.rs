@@ -53,7 +53,6 @@ impl SpannerStats {
 /// These are exactly the sets `F_e` of the paper's Lemma 6, from which the
 /// `(2k)`-blocking set is built.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeCertificate {
     /// Identifier of the edge in the *input* graph `G`.
     pub input_edge: EdgeId,

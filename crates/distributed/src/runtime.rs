@@ -173,6 +173,11 @@ impl<'g, M: Clone> Network<'g, M> {
     ///
     /// Panics if a message is addressed to a non-neighbour (the models only
     /// allow communication along edges).
+    // Instantiated in the crate that runs the simulation. `#[inline]` lets
+    // that codegen unit inline the per-vertex step; left to codegen-unit
+    // partitioning, the inlining came and went with unrelated edits and
+    // moved the shard-plan build by about 13 %.
+    #[inline]
     pub fn round<F>(&mut self, mut node_step: F)
     where
         F: FnMut(VertexId, &[Incoming<M>]) -> Vec<Outgoing<M>>,
@@ -211,6 +216,8 @@ impl<'g, M: Clone> Network<'g, M> {
 
     /// Runs rounds until `node_step` sends no messages at all, or `max_rounds`
     /// is reached. Returns the number of rounds executed in this call.
+    // Inlined for the same reason as `round`.
+    #[inline]
     pub fn run_until_quiet<F>(&mut self, max_rounds: usize, mut node_step: F) -> usize
     where
         F: FnMut(VertexId, &[Incoming<M>]) -> Vec<Outgoing<M>>,

@@ -22,7 +22,6 @@ use crate::VertexId;
 /// assert_eq!(e.weight(), 2.5);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     u: VertexId,
     v: VertexId,

@@ -42,7 +42,6 @@ use crate::{Edge, EdgeId, VertexId};
 /// assert!(!g.has_edge_between(0, 3));
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     /// CSR offsets: the compacted neighbors of vertex `v` live in
     /// `csr_adj[csr_offsets[v] as usize..csr_offsets[v + 1] as usize]`.

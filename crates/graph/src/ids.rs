@@ -23,7 +23,6 @@ use core::fmt;
 /// assert_eq!(format!("{v}"), "v3");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VertexId(u32);
 
 impl VertexId {
@@ -102,7 +101,6 @@ impl fmt::Display for VertexId {
 /// assert_eq!(format!("{e}"), "e7");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(u32);
 
 impl EdgeId {

@@ -23,7 +23,6 @@ use std::thread;
 use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
 
 use crate::cache::KeyRef;
-use crate::hierarchy::HierarchicalOracle;
 use crate::oracle::FaultOracle;
 use crate::query::{Answer, Query};
 use crate::shard::{Route, ShardedOracle};
@@ -64,6 +63,47 @@ fn split_windows<'a, T>(
     windows
 }
 
+/// Answers every group and returns the answers in request order. Groups are
+/// claimed through an atomic cursor by `workers` scoped threads (the calling
+/// thread alone when `workers <= 1`), each with its own
+/// [`DijkstraScratch`]; `answer_group` fills the claimed group's window, one
+/// slot per index of the group in order.
+fn fan_out<T: Sync>(
+    groups: &[(T, Vec<usize>)],
+    total: usize,
+    workers: usize,
+    answer_group: impl Fn(&(T, Vec<usize>), &mut [Option<Answer>], &mut DijkstraScratch) + Sync,
+) -> Vec<Answer> {
+    let mut grouped: Vec<Option<Answer>> = Vec::with_capacity(total);
+    grouped.resize_with(total, || None);
+    let cursor = AtomicUsize::new(0);
+    let windows = split_windows(&mut grouped, groups);
+    let work = || {
+        let mut scratch = DijkstraScratch::new();
+        loop {
+            let g = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(group) = groups.get(g) else {
+                break;
+            };
+            // Exactly one worker claims group `g`, so this lock is
+            // uncontended and taken once per group.
+            let mut window = windows[g].lock().expect("batch output window poisoned");
+            answer_group(group, &mut window, &mut scratch);
+        }
+    };
+    if workers <= 1 {
+        work();
+    } else {
+        thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
+    drop(windows);
+    scatter(grouped, groups, total)
+}
+
 /// Reassembles group-major answers into request order.
 fn scatter<T>(
     grouped: Vec<Option<Answer>>,
@@ -101,54 +141,17 @@ impl FaultOracle {
 
         let groups = group_by_fingerprint(queries, self.cache_namespace());
         let workers = self.effective_workers(groups.len());
-        let mut grouped: Vec<Option<Answer>> = Vec::with_capacity(queries.len());
-        grouped.resize_with(queries.len(), || None);
-
-        if workers <= 1 {
-            let mut scratch = DijkstraScratch::new();
-            let mut out = grouped.iter_mut();
-            for (fp, idxs) in &groups {
+        fan_out(
+            &groups,
+            queries.len(),
+            workers,
+            |(fp, idxs), window, scratch| {
                 let mut held: Option<(&Query, Arc<ShortestPathTree>)> = None;
-                for &idx in idxs {
-                    let slot = out.next().expect("buffer sized to the batch");
-                    *slot =
-                        Some(self.answer_group_query(queries, *fp, idx, &mut held, &mut scratch));
+                for (slot, &idx) in window.iter_mut().zip(idxs) {
+                    *slot = Some(self.answer_group_query(queries, *fp, idx, &mut held, scratch));
                 }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let windows = split_windows(&mut grouped, &groups);
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut scratch = DijkstraScratch::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((fp, idxs)) = groups.get(g) else {
-                                break;
-                            };
-                            // Exactly one worker claims group `g`, so this
-                            // lock is uncontended and taken once per group.
-                            let mut window =
-                                windows[g].lock().expect("batch output window poisoned");
-                            let mut held: Option<(&Query, Arc<ShortestPathTree>)> = None;
-                            for (slot, &idx) in window.iter_mut().zip(idxs) {
-                                *slot = Some(self.answer_group_query(
-                                    queries,
-                                    *fp,
-                                    idx,
-                                    &mut held,
-                                    &mut scratch,
-                                ));
-                            }
-                        }
-                    });
-                }
-            });
-            drop(windows);
-        }
-
-        scatter(grouped, &groups, queries.len())
+            },
+        )
     }
 
     /// Answers one query of a fault-set group, reusing the group's held tree
@@ -235,118 +238,16 @@ impl ShardedOracle {
             .collect();
 
         let workers = self.global().effective_workers(groups.len());
-        let mut grouped: Vec<Option<Answer>> = Vec::with_capacity(queries.len());
-        grouped.resize_with(queries.len(), || None);
-
-        if workers <= 1 {
-            let mut scratch = DijkstraScratch::new();
-            let mut out = grouped.iter_mut();
-            for (_, idxs) in &groups {
-                for &idx in idxs {
-                    let slot = out.next().expect("buffer sized to the batch");
-                    *slot = Some(self.answer_with_scratch(&queries[idx], &mut scratch));
+        fan_out(
+            &groups,
+            queries.len(),
+            workers,
+            |(_, idxs), window, scratch| {
+                for (slot, &idx) in window.iter_mut().zip(idxs) {
+                    *slot = Some(self.answer_with_scratch(&queries[idx], scratch));
                 }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let windows = split_windows(&mut grouped, &groups);
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut scratch = DijkstraScratch::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((_, idxs)) = groups.get(g) else {
-                                break;
-                            };
-                            let mut window =
-                                windows[g].lock().expect("batch output window poisoned");
-                            for (slot, &idx) in window.iter_mut().zip(idxs) {
-                                *slot = Some(self.answer_with_scratch(&queries[idx], &mut scratch));
-                            }
-                        }
-                    });
-                }
-            });
-            drop(windows);
-        }
-
-        scatter(grouped, &groups, queries.len())
-    }
-}
-
-impl HierarchicalOracle {
-    /// Answers a batch of queries, returning answers in request order —
-    /// identical answers to [`FaultOracle::answer_batch`] and
-    /// [`ShardedOracle::answer_batch`] on the same spanner, routed through
-    /// the two-level hierarchy.
-    ///
-    /// Same shape as the flat sharded batch: queries grouped by
-    /// `(leaf route, fault set)`, pair regions prematerialized, groups
-    /// work-stolen by a pool writing into disjoint output windows.
-    #[must_use]
-    pub fn answer_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        self.metrics().record_batch();
-        if queries.is_empty() {
-            return Vec::new();
-        }
-
-        let mut by_group: HashMap<(Route, u64), Vec<usize>> = HashMap::new();
-        let mut pairs: HashSet<(u32, u32)> = HashSet::new();
-        for (idx, query) in queries.iter().enumerate() {
-            let route = self.route(query.u, query.v);
-            if let Route::Pair(a, b) = route {
-                pairs.insert((a, b));
-            }
-            let fp = KeyRef::new(0, &query.faults).fingerprint();
-            by_group.entry((route, fp)).or_default().push(idx);
-        }
-        for (a, b) in pairs {
-            let _ = self.pair_region(a, b);
-        }
-        let groups: Vec<(Route, Vec<usize>)> = by_group
-            .into_iter()
-            .map(|((route, _), idxs)| (route, idxs))
-            .collect();
-
-        let workers = self.global().effective_workers(groups.len());
-        let mut grouped: Vec<Option<Answer>> = Vec::with_capacity(queries.len());
-        grouped.resize_with(queries.len(), || None);
-
-        if workers <= 1 {
-            let mut scratch = DijkstraScratch::new();
-            let mut out = grouped.iter_mut();
-            for (_, idxs) in &groups {
-                for &idx in idxs {
-                    let slot = out.next().expect("buffer sized to the batch");
-                    *slot = Some(self.answer_with_scratch(&queries[idx], &mut scratch));
-                }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let windows = split_windows(&mut grouped, &groups);
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut scratch = DijkstraScratch::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((_, idxs)) = groups.get(g) else {
-                                break;
-                            };
-                            let mut window =
-                                windows[g].lock().expect("batch output window poisoned");
-                            for (slot, &idx) in window.iter_mut().zip(idxs) {
-                                *slot = Some(self.answer_with_scratch(&queries[idx], &mut scratch));
-                            }
-                        }
-                    });
-                }
-            });
-            drop(windows);
-        }
-
-        scatter(grouped, &groups, queries.len())
+            },
+        )
     }
 }
 

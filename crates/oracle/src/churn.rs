@@ -504,10 +504,11 @@ pub struct ShardWaveOutcome {
     /// therefore rebuilt from the repaired spanner. Shards the wave did not
     /// touch keep their oracle — and its cached trees — untouched.
     pub rebuilt_shards: Vec<usize>,
-    /// Shard pairs that were adjacent (had cut edges) before the wave and
-    /// have none afterwards: the wave severed every portal between them, so
-    /// cross-shard queries between those shards now certify through wider
-    /// detours or fall back to the global oracle.
+    /// Shard pairs (super-shard pairs when the oracle is grouped) that were
+    /// adjacent (had cut edges) before the wave and have none afterwards:
+    /// the wave severed every portal between them, so cross-shard queries
+    /// between those shards now certify through wider detours or fall back
+    /// to the global oracle.
     pub severed_pairs: Vec<(u32, u32)>,
 }
 
@@ -528,7 +529,8 @@ impl ShardedOracle {
         let pairs_before = self.boundary.adjacent_pairs();
         let global = self.global.apply_wave(wave, config);
 
-        self.boundary = BoundaryIndex::build(self.global.spanner(), &self.plan);
+        let boundary_plan = self.grouping.as_ref().map_or(&self.plan, |g| &g.plan);
+        self.boundary = BoundaryIndex::build(self.global.spanner(), boundary_plan);
         let severed_pairs = {
             let after: HashSet<(u32, u32)> = self.boundary.adjacent_pairs().into_iter().collect();
             pairs_before

@@ -95,7 +95,7 @@ pub mod traits;
 pub use boundary::{BoundaryIndex, CutEdge};
 pub use cache::{CacheKey, TreeCache};
 pub use churn::{ChurnConfig, ShardWaveOutcome, WaveOutcome, WaveReport};
-pub use hierarchy::{HierarchicalOptions, HierarchicalOracle, HierarchyWaveOutcome};
+pub use hierarchy::{HierarchicalOptions, HierarchicalOracle};
 pub use metrics::{LocalitySplit, MetricsSnapshot, OracleMetrics, ServiceMetrics};
 pub use oracle::{FaultOracle, OracleOptions};
 pub use query::{Answer, Query, QueryKind};

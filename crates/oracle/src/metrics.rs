@@ -96,7 +96,6 @@ impl MetricsSnapshot {
 /// traffic was served. Present only for backends that route (the single
 /// oracle has nothing to route).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LocalitySplit {
     /// Queries answered from a single shard's region.
     pub local: u64,
@@ -133,7 +132,6 @@ impl LocalitySplit {
 /// until an [`OracleService`](crate::service::OracleService) fills them in
 /// from its own counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServiceMetrics {
     /// Queries the backend answered (single and batched).
     pub queries: u64,

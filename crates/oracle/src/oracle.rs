@@ -15,7 +15,6 @@ use crate::query::{Answer, Query, QueryKind};
 
 /// Configuration of a [`FaultOracle`].
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OracleOptions {
     /// Maximum number of fault sets whose shortest-path trees stay cached
     /// (LRU). `0` disables caching entirely — every query recomputes, which

@@ -30,6 +30,15 @@
 //! might wander outside the region — for example when a fault wave severs
 //! all portals between two shards — reach the global fallback, and the
 //! [`ShardedMetrics`] record how often that happens.
+//!
+//! ## Boundary grouping
+//!
+//! With [`ShardedOptions::super_shards`] set, the shards are packed into
+//! super-shards and the boundary index covers only the cut edges between
+//! super-shards (see [`crate::hierarchy`]). Routing, regions and the escape
+//! certificate are unchanged, so a grouped oracle answers exactly like a
+//! flat one; the boundary's memory and the severed pairs a wave reports
+//! follow the coarse partition.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,13 +52,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::boundary::BoundaryIndex;
+use crate::hierarchy::ShardGrouping;
 use crate::metrics::MetricsSnapshot;
 use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
 use crate::query::{Answer, Query, QueryKind};
 
 /// How a [`ShardPlan`] is derived from the padded decomposition.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ShardPlanOptions {
     /// Desired number of shards (the plan never produces more; tiny graphs
     /// may fill fewer).
@@ -209,6 +218,13 @@ pub struct ShardedOptions {
     /// Options of the global oracle and (with per-shard cache namespaces)
     /// of every region's tree cache.
     pub oracle: OracleOptions,
+    /// Groups the shards into super-shards for the boundary index only.
+    /// `None` indexes the cut edges between shards. `Some(count)` packs the
+    /// shards into `count` super-shards by core size (`0` picks
+    /// `ceil(sqrt(shard count))`) and indexes only the cut edges between
+    /// super-shards (see [`crate::hierarchy`]). Routing, regions and answers
+    /// do not depend on it.
+    pub super_shards: Option<usize>,
 }
 
 /// One served region: a shard's core plus halo (or the union of two shards'
@@ -675,6 +691,10 @@ impl ShardedMetricsSnapshot {
 pub struct ShardedOracle {
     pub(crate) global: FaultOracle,
     pub(crate) plan: ShardPlan,
+    /// The super-shards the boundary index covers, when
+    /// [`ShardedOptions::super_shards`] asks for a grouping.
+    pub(crate) grouping: Option<ShardGrouping>,
+    /// Cut edges between shards, or between super-shards when grouped.
     pub(crate) boundary: BoundaryIndex,
     /// One region per shard, behind `Arc` so sibling shards whose core-plus-
     /// halo member sets coincide (common when a small graph's halos cover
@@ -701,7 +721,8 @@ impl ShardedOracle {
     /// greedy, derives a shard plan from the padded decomposition, and wires
     /// up the sharded serving state.
     #[must_use]
-    pub fn build(graph: Graph, params: SpannerParams, options: ShardedOptions) -> Self {
+    pub fn build(graph: Graph, params: SpannerParams, options: impl Into<ShardedOptions>) -> Self {
+        let options = options.into();
         let plan = ShardPlan::build(&graph, &options.plan);
         Self::build_with_plan(graph, params, plan, options)
     }
@@ -737,8 +758,9 @@ impl ShardedOracle {
         graph: Graph,
         result: SpannerResult,
         plan: ShardPlan,
-        options: ShardedOptions,
+        options: impl Into<ShardedOptions>,
     ) -> Self {
+        let options = options.into();
         assert_eq!(
             graph.vertex_count(),
             plan.vertex_count(),
@@ -748,21 +770,26 @@ impl ShardedOracle {
         let global = FaultOracle::from_result(graph, result, options.oracle.clone());
         let halo_radius = options.halo_radius.unwrap_or_else(|| params.stretch());
         let shard_epochs = vec![0; plan.shard_count()];
-        Self::assemble(global, plan, shard_epochs, halo_radius, options)
+        let grouping = options
+            .super_shards
+            .map(|count| ShardGrouping::pack(&plan, count));
+        Self::assemble(global, plan, grouping, shard_epochs, halo_radius, options)
     }
 
     /// Derives the serving state — boundary index and interned shard
-    /// regions — from the global oracle and the plan. Cold builds and
-    /// snapshot restores both end here, so a restore serves exactly what a
-    /// build would.
+    /// regions — from the global oracle, the plan and the grouping. Cold
+    /// builds and snapshot restores both end here, so a restore serves
+    /// exactly what a build would.
     pub(crate) fn assemble(
         global: FaultOracle,
         plan: ShardPlan,
+        grouping: Option<ShardGrouping>,
         shard_epochs: Vec<u64>,
         halo_radius: u32,
         options: ShardedOptions,
     ) -> Self {
-        let boundary = BoundaryIndex::build(global.spanner(), &plan);
+        let boundary_plan = grouping.as_ref().map_or(&plan, |g| &g.plan);
+        let boundary = BoundaryIndex::build(global.spanner(), boundary_plan);
         let regions = build_regions(
             &global,
             &plan,
@@ -773,6 +800,7 @@ impl ShardedOracle {
         Self {
             global,
             plan,
+            grouping,
             boundary,
             regions,
             pair_regions: PairRegions::default(),
@@ -792,7 +820,8 @@ impl ShardedOracle {
         &self.plan
     }
 
-    /// The cross-shard boundary index over the current spanner.
+    /// The boundary index over the current spanner: cut edges between
+    /// shards, or between super-shards when the oracle is grouped.
     #[inline]
     #[must_use]
     pub fn boundary(&self) -> &BoundaryIndex {

@@ -32,14 +32,16 @@
 //! checksum u64 (FNV-1a-64 of payload) · payload
 //! ```
 //!
-//! `kind` is `0` for a [`FaultOracle`], `1` for a [`ShardedOracle`], `2`
-//! for a [`HierarchicalOracle`]. The version (currently `2`) is bumped on
-//! any payload layout change; version `1` payloads, which led with the
-//! pristine input graph, are still read (that graph is checked against the
-//! vertex set and dropped). [`Snapshot::restore`] rejects unknown versions,
-//! foreign magic, checksum mismatches, and snapshots of the wrong kind with a
-//! typed [`SnapshotError`] — never a panic, since these bytes cross process
-//! boundaries.
+//! `kind` is `0` for a [`FaultOracle`], `1` for a flat [`ShardedOracle`],
+//! `2` for a grouped one (see [`crate::hierarchy`]), whose payload adds the
+//! shard → super-shard assignment and the requested super-shard count. A
+//! [`ShardedOracle`] restores from either kind. The version (currently
+//! `2`) is bumped on any payload layout change; version `1` payloads, which
+//! led with the pristine input graph, are still read (that graph is checked
+//! against the vertex set and dropped). [`Snapshot::restore`] rejects
+//! unknown versions, foreign magic, checksum mismatches, and snapshots of
+//! the wrong kind with a typed [`SnapshotError`] — never a panic, since
+//! these bytes cross process boundaries.
 //!
 //! ```
 //! use ftspan::SpannerParams;
@@ -60,7 +62,7 @@ use ftspan::wire::{decode_certificate, decode_params, encode_certificate, encode
 use ftspan_graph::wire::{fnv1a64, WireError, WireReader, WireWriter};
 use ftspan_graph::{vid, Graph, VertexId};
 
-use crate::hierarchy::{compose_super_plan, HierarchicalOptions, HierarchicalOracle};
+use crate::hierarchy::ShardGrouping;
 use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
 use crate::shard::{ShardPlan, ShardPlanOptions, ShardedOptions, ShardedOracle};
 
@@ -138,9 +140,9 @@ impl From<WireError> for SnapshotError {
 pub enum SnapshotKind {
     /// A [`FaultOracle`].
     Single,
-    /// A [`ShardedOracle`].
+    /// A flat [`ShardedOracle`].
     Sharded,
-    /// A [`HierarchicalOracle`].
+    /// A [`ShardedOracle`] whose boundary index covers super-shards.
     Hierarchical,
 }
 
@@ -169,26 +171,41 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for crate::oracle::FaultOracle {}
     impl Sealed for crate::shard::ShardedOracle {}
-    impl Sealed for crate::hierarchy::HierarchicalOracle {}
 }
 
 /// An oracle backend that can be captured into and restored from snapshot
-/// bytes. Sealed: implemented by [`FaultOracle`], [`ShardedOracle`], and
-/// [`HierarchicalOracle`] only.
+/// bytes. Sealed: implemented by [`FaultOracle`] and [`ShardedOracle`] only.
 pub trait Snapshottable: sealed::Sealed + Sized {
-    /// The kind tag written into the snapshot header.
+    /// The kind a restore into this type expects, as reported by
+    /// [`SnapshotError::WrongKind`].
     #[doc(hidden)]
     const KIND: SnapshotKind;
+
+    /// The kind tag written into this oracle's snapshot header.
+    #[doc(hidden)]
+    fn kind(&self) -> SnapshotKind {
+        Self::KIND
+    }
+
+    /// Whether a snapshot of `kind` restores into this type.
+    #[doc(hidden)]
+    fn reads(kind: SnapshotKind) -> bool {
+        kind == Self::KIND
+    }
 
     /// Encodes the non-derivable state onto `w`.
     #[doc(hidden)]
     fn encode_payload(&self, w: &mut WireWriter);
 
-    /// Decodes a payload of format `version` written by
+    /// Decodes a payload of format `version` and kind `kind` written by
     /// [`Snapshottable::encode_payload`] and rebuilds the derived serving
     /// state.
     #[doc(hidden)]
-    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError>;
+    fn decode_payload(
+        r: &mut WireReader<'_>,
+        version: u32,
+        kind: SnapshotKind,
+    ) -> Result<Self, SnapshotError>;
 }
 
 /// Capture and restore entry points for oracle snapshots. See the
@@ -216,7 +233,7 @@ impl Snapshot {
             out.put_u8(b);
         }
         out.put_u32(Self::VERSION);
-        out.put_u8(O::KIND.tag());
+        out.put_u8(oracle.kind().tag());
         out.put_len(payload.len());
         out.put_u64(fnv1a64(&payload));
         let mut bytes = out.into_vec();
@@ -240,14 +257,14 @@ impl Snapshot {
     pub fn restore<O: Snapshottable>(bytes: &[u8]) -> Result<O, SnapshotError> {
         let mut r = WireReader::new(bytes);
         let (kind, version, payload) = Self::read_header(&mut r)?;
-        if kind != O::KIND {
+        if !O::reads(kind) {
             return Err(SnapshotError::WrongKind {
                 expected: O::KIND,
                 found: kind,
             });
         }
         let mut payload = WireReader::new(payload);
-        let oracle = O::decode_payload(&mut payload, version)?;
+        let oracle = O::decode_payload(&mut payload, version, kind)?;
         payload.finish()?;
         Ok(oracle)
     }
@@ -323,7 +340,11 @@ impl Snapshottable for FaultOracle {
         w.put_u64(self.epoch);
     }
 
-    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError> {
+    fn decode_payload(
+        r: &mut WireReader<'_>,
+        version: u32,
+        _kind: SnapshotKind,
+    ) -> Result<Self, SnapshotError> {
         // Version 1 led with the pristine input graph: validated, then dropped.
         let v1_vertices = if version == Snapshot::V1 {
             Some(decode_graph(r)?.vertex_count())
@@ -382,16 +403,37 @@ fn read_vertex(r: &mut WireReader<'_>, n: usize) -> Result<VertexId, SnapshotErr
 impl Snapshottable for ShardedOracle {
     const KIND: SnapshotKind = SnapshotKind::Sharded;
 
+    fn kind(&self) -> SnapshotKind {
+        if self.grouping.is_some() {
+            SnapshotKind::Hierarchical
+        } else {
+            SnapshotKind::Sharded
+        }
+    }
+
+    fn reads(kind: SnapshotKind) -> bool {
+        matches!(kind, SnapshotKind::Sharded | SnapshotKind::Hierarchical)
+    }
+
     fn encode_payload(&self, w: &mut WireWriter) {
         self.global.encode_payload(w);
         w.put_len(self.plan.vertex_count());
         for i in 0..self.plan.vertex_count() {
             w.put_u32(self.plan.shard_of(vid(i)));
         }
+        if let Some(grouping) = &self.grouping {
+            w.put_len(grouping.super_of_shard.len());
+            for &s in &grouping.super_of_shard {
+                w.put_u32(s);
+            }
+        }
         w.put_len(self.options.plan.shards);
         w.put_u64(self.options.plan.seed);
         w.put_f64(self.options.plan.beta);
         w.put_len(self.options.plan.partitions);
+        if let Some(super_shards) = self.options.super_shards {
+            w.put_len(super_shards);
+        }
         match self.options.halo_radius {
             None => w.put_u8(0),
             Some(radius) => {
@@ -407,8 +449,13 @@ impl Snapshottable for ShardedOracle {
         }
     }
 
-    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError> {
-        let global = FaultOracle::decode_payload(r, version)?;
+    fn decode_payload(
+        r: &mut WireReader<'_>,
+        version: u32,
+        kind: SnapshotKind,
+    ) -> Result<Self, SnapshotError> {
+        let grouped = kind == SnapshotKind::Hierarchical;
+        let global = FaultOracle::decode_payload(r, version, SnapshotKind::Single)?;
         let n = r.len(4)?;
         if n != global.graph.vertex_count() {
             return Err(WireError::malformed(format!(
@@ -422,13 +469,32 @@ impl Snapshottable for ShardedOracle {
             shard_of.push(r.u32()?);
         }
         let plan = ShardPlan::from_shard_of(shard_of);
+        let super_of_shard = if grouped {
+            let shard_count = r.len(4)?;
+            if shard_count != plan.shard_count() {
+                return Err(WireError::malformed(format!(
+                    "{shard_count} super assignments for {} shards",
+                    plan.shard_count()
+                ))
+                .into());
+            }
+            let mut super_of_shard = Vec::with_capacity(shard_count);
+            for _ in 0..shard_count {
+                super_of_shard.push(r.u32()?);
+            }
+            Some(super_of_shard)
+        } else {
+            None
+        };
+        let plan_options = ShardPlanOptions {
+            shards: r.len(0)?,
+            seed: r.u64()?,
+            beta: r.f64()?,
+            partitions: r.len(0)?,
+        };
+        let super_shards = if grouped { Some(r.len(0)?) } else { None };
         let options = ShardedOptions {
-            plan: ShardPlanOptions {
-                shards: r.len(0)?,
-                seed: r.u64()?,
-                beta: r.f64()?,
-                partitions: r.len(0)?,
-            },
+            plan: plan_options,
             halo_radius: match r.u8()? {
                 0 => None,
                 1 => Some(r.u32()?),
@@ -439,6 +505,7 @@ impl Snapshottable for ShardedOracle {
                 }
             },
             oracle: decode_oracle_options(r)?,
+            super_shards,
         };
         let halo_radius = r.u32()?;
         let epoch_count = r.len(8)?;
@@ -454,124 +521,22 @@ impl Snapshottable for ShardedOracle {
             shard_epochs.push(r.u64()?);
         }
 
-        // Everything else is *derived* state — boundary index and interned
-        // regions, a pure function of the restored graphs, spanner and plan
-        // — rebuilt by the same code a cold build runs, so the restored
-        // oracle serves bit-identical answers.
+        // Everything else is *derived* state — the super plan, the boundary
+        // index and the interned regions, a pure function of the restored
+        // graphs, spanner, plan and grouping — rebuilt by the same code a
+        // cold build runs, so the restored oracle serves bit-identical
+        // answers.
+        let grouping = super_of_shard
+            .map(|super_of_shard| {
+                ShardGrouping::new(&plan, super_of_shard)
+                    .ok_or_else(|| WireError::malformed("shard id out of super assignment range"))
+            })
+            .transpose()?;
         Ok(Self::assemble(
             global,
             plan,
+            grouping,
             shard_epochs,
-            halo_radius,
-            options,
-        ))
-    }
-}
-
-impl Snapshottable for HierarchicalOracle {
-    const KIND: SnapshotKind = SnapshotKind::Hierarchical;
-
-    fn encode_payload(&self, w: &mut WireWriter) {
-        self.global.encode_payload(w);
-        w.put_len(self.leaf_plan.vertex_count());
-        for i in 0..self.leaf_plan.vertex_count() {
-            w.put_u32(self.leaf_plan.shard_of(vid(i)));
-        }
-        w.put_len(self.super_of_leaf.len());
-        for &s in &self.super_of_leaf {
-            w.put_u32(s);
-        }
-        w.put_len(self.options.plan.shards);
-        w.put_u64(self.options.plan.seed);
-        w.put_f64(self.options.plan.beta);
-        w.put_len(self.options.plan.partitions);
-        w.put_len(self.options.super_shards);
-        match self.options.halo_radius {
-            None => w.put_u8(0),
-            Some(radius) => {
-                w.put_u8(1);
-                w.put_u32(radius);
-            }
-        }
-        encode_oracle_options(&self.options.oracle, w);
-        w.put_u32(self.halo_radius);
-        w.put_len(self.leaf_epochs.len());
-        for &e in &self.leaf_epochs {
-            w.put_u64(e);
-        }
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>, version: u32) -> Result<Self, SnapshotError> {
-        let global = FaultOracle::decode_payload(r, version)?;
-        let n = r.len(4)?;
-        if n != global.graph.vertex_count() {
-            return Err(WireError::malformed(format!(
-                "leaf plan covers {n} vertices, graph has {}",
-                global.graph.vertex_count()
-            ))
-            .into());
-        }
-        let mut shard_of = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_of.push(r.u32()?);
-        }
-        let leaf_plan = ShardPlan::from_shard_of(shard_of);
-        let leaf_count = r.len(4)?;
-        if leaf_count != leaf_plan.shard_count() {
-            return Err(WireError::malformed(format!(
-                "{leaf_count} super assignments for {} leaves",
-                leaf_plan.shard_count()
-            ))
-            .into());
-        }
-        let mut super_of_leaf = Vec::with_capacity(leaf_count);
-        for _ in 0..leaf_count {
-            super_of_leaf.push(r.u32()?);
-        }
-        let options = HierarchicalOptions {
-            plan: ShardPlanOptions {
-                shards: r.len(0)?,
-                seed: r.u64()?,
-                beta: r.f64()?,
-                partitions: r.len(0)?,
-            },
-            super_shards: r.len(0)?,
-            halo_radius: match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                tag => {
-                    return Err(
-                        WireError::malformed(format!("unknown halo radius tag {tag}")).into(),
-                    )
-                }
-            },
-            oracle: decode_oracle_options(r)?,
-        };
-        let halo_radius = r.u32()?;
-        let epoch_count = r.len(8)?;
-        if epoch_count != leaf_plan.shard_count() {
-            return Err(WireError::malformed(format!(
-                "{epoch_count} leaf epochs for {} leaves",
-                leaf_plan.shard_count()
-            ))
-            .into());
-        }
-        let mut leaf_epochs = Vec::with_capacity(epoch_count);
-        for _ in 0..epoch_count {
-            leaf_epochs.push(r.u64()?);
-        }
-
-        // Derived state, rebuilt by the same code a cold build runs: the
-        // vertex-level super plan composed from the leaf plan, the level-2
-        // boundary over it, and the interned leaf regions.
-        let super_plan = compose_super_plan(&leaf_plan, &super_of_leaf)
-            .ok_or_else(|| WireError::malformed("leaf id out of super assignment range"))?;
-        Ok(Self::assemble(
-            global,
-            leaf_plan,
-            super_plan,
-            super_of_leaf,
-            leaf_epochs,
             halo_radius,
             options,
         ))
@@ -581,6 +546,7 @@ impl Snapshottable for HierarchicalOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::{HierarchicalOptions, HierarchicalOracle};
     use ftspan::{FaultSet, SpannerParams};
     use ftspan_graph::generators;
     use rand::rngs::StdRng;
@@ -657,12 +623,15 @@ mod tests {
             SnapshotKind::Hierarchical
         );
         let restored: HierarchicalOracle = Snapshot::restore(&bytes).expect("restores");
-        assert_eq!(restored.leaf_count(), oracle.leaf_count());
-        assert_eq!(restored.super_count(), oracle.super_count());
-        assert_eq!(restored.leaf_epochs(), oracle.leaf_epochs());
-        for leaf in 0..oracle.leaf_count() {
-            assert_eq!(restored.super_of(leaf), oracle.super_of(leaf));
-            assert_eq!(restored.leaf_members(leaf), oracle.leaf_members(leaf));
+        assert_eq!(restored.shard_count(), oracle.shard_count());
+        assert_eq!(restored.shard_epochs(), oracle.shard_epochs());
+        let grouping = |o: &ShardedOracle| {
+            let g = o.grouping.as_ref().expect("grouped");
+            (g.super_of_shard.clone(), g.plan.clone())
+        };
+        assert_eq!(grouping(&restored), grouping(&oracle));
+        for s in 0..oracle.shard_count() {
+            assert_eq!(restored.shard_members(s), oracle.shard_members(s));
         }
         assert_eq!(
             restored.boundary().cut_edges().len(),
@@ -695,7 +664,7 @@ mod tests {
         let payload = payload.into_vec();
         let mut bytes = b"FTSPANSS".to_vec();
         bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(O::KIND.tag());
+        bytes.push(oracle.kind().tag());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
@@ -745,6 +714,59 @@ mod tests {
         assert_eq!(old.shard_epochs(), sharded.shard_epochs());
         assert_same_answers(&old, &sharded);
         assert_eq!(Snapshot::capture(&old), v2);
+    }
+
+    /// The capture bytes of a fixed flat and a fixed grouped oracle, one
+    /// wave in, pinned by checksum: the payload layout of kinds 1 and 2 is a
+    /// wire contract with replicas and files on disk.
+    #[test]
+    fn sharded_snapshot_bytes_are_pinned() {
+        let wave = FaultSet::vertices([vid(7)]);
+        let mut flat = ShardedOracle::build(
+            workload(4),
+            SpannerParams::vertex(2, 1),
+            ShardedOptions::default(),
+        );
+        flat.apply_wave(&wave, &crate::ChurnConfig::default());
+        let flat_bytes = Snapshot::capture(&flat);
+        assert_eq!(flat_bytes.len(), 7170);
+        assert_eq!(fnv1a64(&flat_bytes), 0x41ef_04e1_e6b0_0d42);
+
+        let mut grouped = ShardedOracle::build(
+            workload(8),
+            SpannerParams::vertex(2, 1),
+            HierarchicalOptions {
+                super_shards: 2,
+                ..HierarchicalOptions::default()
+            },
+        );
+        grouped.apply_wave(&wave, &crate::ChurnConfig::default());
+        let grouped_bytes = Snapshot::capture(&grouped);
+        assert_eq!(grouped_bytes.len(), 7357);
+        assert_eq!(fnv1a64(&grouped_bytes), 0x3d7d_2b44_079f_624f);
+
+        // Kind 2 restores into the one sharded type and answers identically.
+        assert_eq!(
+            Snapshot::peek_kind(&grouped_bytes).unwrap(),
+            SnapshotKind::Hierarchical
+        );
+        let restored: ShardedOracle = Snapshot::restore(&grouped_bytes).expect("restores");
+        assert_same_answers(&restored, &grouped);
+        assert_eq!(Snapshot::capture(&restored), grouped_bytes);
+
+        // Neither sharded kind restores as a single oracle.
+        for (bytes, found) in [
+            (&flat_bytes, SnapshotKind::Sharded),
+            (&grouped_bytes, SnapshotKind::Hierarchical),
+        ] {
+            assert_eq!(
+                Snapshot::restore::<FaultOracle>(bytes).unwrap_err(),
+                SnapshotError::WrongKind {
+                    expected: SnapshotKind::Single,
+                    found,
+                }
+            );
+        }
     }
 
     #[test]

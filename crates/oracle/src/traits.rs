@@ -35,14 +35,13 @@
 //! wave journal and asserts each entry's digest, so any nondeterminism in a
 //! backend surfaces as a typed divergence error at the exact wave that
 //! introduced it (the `replication_vs_primary` suite enforces this across
-//! all three backends). Machine-local measurements (elapsed time) are
+//! the single, flat and grouped backends). Machine-local measurements (elapsed time) are
 //! excluded from the digest by construction.
 
 use ftspan::{FaultSet, SpannerParams};
 use ftspan_graph::{Graph, VertexId};
 
 use crate::churn::{ChurnConfig, WaveReport};
-use crate::hierarchy::HierarchicalOracle;
 use crate::metrics::{LocalitySplit, ServiceMetrics};
 use crate::oracle::FaultOracle;
 use crate::query::{Answer, Query};
@@ -260,77 +259,6 @@ impl SpannerOracle for ShardedOracle {
     }
 }
 
-impl SpannerOracle for HierarchicalOracle {
-    fn graph(&self) -> &Graph {
-        self.graph()
-    }
-
-    fn spanner(&self) -> &Graph {
-        self.spanner()
-    }
-
-    fn params(&self) -> SpannerParams {
-        self.params()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch()
-    }
-
-    fn distance(&self, u: VertexId, v: VertexId, faults: &FaultSet) -> Option<f64> {
-        self.distance(u, v, faults)
-    }
-
-    fn path(&self, u: VertexId, v: VertexId, faults: &FaultSet) -> Option<(f64, Vec<VertexId>)> {
-        self.path(u, v, faults)
-    }
-
-    fn answer(&self, query: &Query) -> Answer {
-        self.answer(query)
-    }
-
-    fn answer_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        self.answer_batch(queries)
-    }
-
-    fn apply_wave(&mut self, wave: &FaultSet, config: &ChurnConfig) -> WaveReport {
-        let outcome = self.apply_wave(wave, config);
-        WaveReport {
-            rebuilt_lanes: outcome.rebuilt_leaves,
-            severed_pairs: outcome.severed_super_pairs,
-            outcome: outcome.global,
-        }
-    }
-
-    fn service_metrics(&self) -> ServiceMetrics {
-        let snap = self.metrics().snapshot();
-        let (cache_hits, trees_built) = self.cache_stats();
-        ServiceMetrics {
-            queries: snap.queries,
-            cache_hits,
-            trees_built,
-            batches: snap.batches,
-            waves: snap.waves,
-            locality: Some(LocalitySplit {
-                local: snap.local,
-                stitched: snap.stitched,
-                global_fallbacks: snap.global_fallbacks,
-            }),
-            ..ServiceMetrics::default()
-        }
-    }
-
-    fn admission_lanes(&self) -> usize {
-        self.leaf_count()
-    }
-
-    /// Queries are charged to the lane of `u`'s **leaf** — the finest
-    /// granularity the front-end can shed or queue at.
-    fn admission_lane(&self, u: VertexId, _v: VertexId) -> usize {
-        self.leaf_plan().shard_of(u) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,12 +358,12 @@ mod tests {
             },
         );
         let lanes = SpannerOracle::admission_lanes(&oracle);
-        assert_eq!(lanes, oracle.leaf_count());
+        assert_eq!(lanes, oracle.shard_count());
         drive(&mut oracle);
         for u in 0..oracle.graph().vertex_count() {
             let lane = SpannerOracle::admission_lane(&oracle, vid(u), vid(0));
             assert!(lane < lanes);
-            assert_eq!(lane, oracle.leaf_plan().shard_of(vid(u)) as usize);
+            assert_eq!(lane, oracle.plan().shard_of(vid(u)) as usize);
         }
         assert!(SpannerOracle::service_metrics(&oracle).locality.is_some());
     }

@@ -54,6 +54,7 @@
 //!   request first) — then hands the warm [`OracleService`] back to the
 //!   caller (ready for [`Snapshot::capture`]).
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,8 +235,8 @@ struct RoleState {
 pub struct Server<O: SpannerOracle + 'static> {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    conns: Connections,
+    handlers: Handlers,
     accept_thread: Option<thread::JoinHandle<()>>,
     snapshot_thread: Option<thread::JoinHandle<()>>,
     /// Wakes the snapshot timer early so shutdown never waits an interval.
@@ -279,8 +280,8 @@ where
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let handlers: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Connections::default();
+        let handlers = Handlers::default();
         if service.worker_count() == 0 {
             service.spawn_workers(default_worker_pool());
         }
@@ -442,12 +443,7 @@ impl<O: SpannerOracle + 'static> Server<O> {
             wake_accept(self.local_addr);
             clean &= accept.join().is_ok();
         }
-        for conn in self
-            .conns
-            .lock()
-            .expect("connection list poisoned")
-            .drain(..)
-        {
+        for (_, conn) in self.conns.lock().expect("connection list poisoned").drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
@@ -466,6 +462,15 @@ impl<O: SpannerOracle + 'static> Drop for Server<O> {
         self.service.take();
     }
 }
+
+/// A clone of every live connection's stream by connection id, kept so
+/// shutdown can close the socket under its handler. Each handler removes
+/// its own entry when it exits.
+type Connections = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+/// Handler threads not yet joined. The accept loop joins the finished ones
+/// as it registers each new handler; shutdown joins the rest.
+type Handlers = Arc<Mutex<Vec<thread::JoinHandle<()>>>>;
 
 /// Pause before retrying an `accept` error that is not about one peer
 /// (`EMFILE`, `ENFILE`, `ENOBUFS`, …), so the loop does not spin while
@@ -490,13 +495,13 @@ fn accept_loop<O: SpannerOracle + Snapshottable + 'static>(
     listener: &TcpListener,
     service: &Arc<OracleService<O>>,
     shutdown: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<TcpStream>>>,
-    handlers: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    conns: &Connections,
+    handlers: &Handlers,
     config: &ServerConfig,
     vertex_count: usize,
     role: &Arc<RoleState>,
 ) {
-    loop {
+    for id in 0u64.. {
         match listener.accept() {
             // The wake-up connection from `stop_threads`, or a client that
             // raced shutdown: either way, stop accepting.
@@ -504,12 +509,16 @@ fn accept_loop<O: SpannerOracle + Snapshottable + 'static>(
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 if let Ok(clone) = stream.try_clone() {
-                    conns.lock().expect("connection list poisoned").push(clone);
+                    conns
+                        .lock()
+                        .expect("connection list poisoned")
+                        .insert(id, clone);
                 }
                 let service = Arc::clone(service);
                 let config = config.clone();
                 let role = Arc::clone(role);
                 let shutdown = Arc::clone(shutdown);
+                let registry = Arc::clone(conns);
                 let spawned = thread::Builder::new()
                     .name("ftspan-conn".into())
                     .spawn(move || {
@@ -521,9 +530,25 @@ fn accept_loop<O: SpannerOracle + Snapshottable + 'static>(
                             &role,
                             &shutdown,
                         );
+                        registry
+                            .lock()
+                            .expect("connection list poisoned")
+                            .remove(&id);
                     });
-                if let Ok(handle) = spawned {
-                    handlers.lock().expect("handler list poisoned").push(handle);
+                let mut handlers = handlers.lock().expect("handler list poisoned");
+                let (finished, running) = std::mem::take(&mut *handlers)
+                    .into_iter()
+                    .partition::<Vec<_>, _>(thread::JoinHandle::is_finished);
+                *handlers = running;
+                for handler in finished {
+                    let _ = handler.join();
+                }
+                match spawned {
+                    Ok(handle) => handlers.push(handle),
+                    // No handler will deregister the stream: close it here.
+                    Err(_) => {
+                        conns.lock().expect("connection list poisoned").remove(&id);
+                    }
                 }
             }
             Err(_) if shutdown.load(Ordering::SeqCst) => return,

@@ -528,3 +528,66 @@ fn a_connection_opened_right_after_start_is_served() {
     }
     let _ = server.shutdown();
 }
+
+/// Connection churn leaves nothing behind: after 2 000 sequential
+/// connect → one query → close cycles, the process's open file descriptors
+/// return to within a small constant of their count before the churn. Every
+/// client read has a timeout, so a server that stops serving fails the test
+/// instead of hanging it. The slack absorbs the other tests of this binary,
+/// which open and close their own sockets concurrently.
+#[cfg(target_os = "linux")]
+#[test]
+fn connection_churn_does_not_leak_file_descriptors() {
+    use ftspan_server::protocol::{decode_reply, encode_request, read_frame, write_frame, Request};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    const CYCLES: usize = 2_000;
+    const SLACK: usize = 64;
+    let open_fds = || {
+        std::fs::read_dir("/proc/self/fd")
+            .expect("procfs lists open fds")
+            .count()
+    };
+
+    let service = OracleService::new(build_backend(7801), ServiceConfig::default());
+    let server =
+        Server::start(service, "127.0.0.1:0", ServerConfig::default()).expect("server starts");
+    let addr = server.local_addr();
+    let request = encode_request(&Request::Distance {
+        u: vid(0),
+        v: vid(3),
+        faults: FaultSet::empty(FaultModel::Vertex),
+    });
+    let baseline = open_fds();
+    for cycle in 0..CYCLES {
+        let mut stream =
+            TcpStream::connect(addr).unwrap_or_else(|e| panic!("cycle {cycle}: connect: {e}"));
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout set");
+        write_frame(&mut stream, &request).unwrap_or_else(|e| panic!("cycle {cycle}: write: {e}"));
+        let body = read_frame(&mut stream)
+            .unwrap_or_else(|e| panic!("cycle {cycle}: no reply: {e}"))
+            .expect("a reply, not a close")
+            .into_intact()
+            .expect("the reply passes its checksum");
+        assert!(
+            matches!(decode_reply(&body), Ok(Reply::Answer(_))),
+            "cycle {cycle}: not an answer"
+        );
+    }
+
+    // Each handler exits once its client has closed; allow them a moment.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut open = open_fds();
+    while open > baseline + SLACK && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(20));
+        open = open_fds();
+    }
+    assert!(
+        open <= baseline + SLACK,
+        "{open} fds open after {CYCLES} connections, {baseline} before"
+    );
+    let _ = server.shutdown();
+}
