@@ -13,11 +13,16 @@
 //! The clustering itself is computed by a genuinely distributed Bellman–Ford
 //! style flood in the round engine: each vertex repeatedly forwards the best
 //! `(center, shifted distance)` pair it knows, using two-word messages, until
-//! no vertex improves — `O(max_u δ_u)` rounds.
+//! no vertex improves — `O(max_u δ_u)` rounds. The flood exists to measure
+//! that round cost. Its fixpoint has a closed form, and
+//! [`ftspan_graph::cluster::shifted_centers`] computes the identical
+//! partition sequentially from the same [`exponential_shifts`] draw; callers
+//! that only need the clusters (shard planning) use that instead.
 
 use std::collections::HashMap;
 
 use ftspan_graph::bfs::bfs_hop_distances;
+use ftspan_graph::cluster::{exponential_shifts, shift_cap};
 use ftspan_graph::{Graph, VertexId};
 use rand::Rng;
 
@@ -62,7 +67,7 @@ impl Partition {
     }
 
     /// Size of the largest cluster (0 for an empty graph) — the balance
-    /// criterion used when picking a partition for sharding.
+    /// criterion of [`Decomposition::sharding_partition`].
     #[must_use]
     pub fn max_cluster_size(&self) -> usize {
         self.clusters()
@@ -70,42 +75,6 @@ impl Partition {
             .map(|(_, members)| members.len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Packs the partition's clusters into `shards` groups of roughly equal
-    /// vertex count, returning the shard index of every vertex.
-    ///
-    /// The packing is deterministic: clusters are taken largest first (ties
-    /// by center id) and each goes to the currently lightest shard (ties by
-    /// shard index). Whole clusters are never split, so every intra-cluster
-    /// edge — the edges the low-diameter clustering worked to keep together —
-    /// stays internal to a shard, and the same partition always yields the
-    /// same assignment (the reproducibility the sharded differential tests
-    /// rely on).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0.
-    #[must_use]
-    pub fn shard_assignment(&self, shards: usize) -> Vec<u32> {
-        assert!(shards > 0, "shard count must be positive");
-        let mut clusters = self.clusters();
-        clusters.sort_by(|(ca, ma), (cb, mb)| mb.len().cmp(&ma.len()).then(ca.cmp(cb)));
-        let mut load = vec![0usize; shards];
-        let mut shard_of = vec![0u32; self.center_of.len()];
-        for (_, members) in clusters {
-            let lightest = load
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &l)| (l, i))
-                .map(|(i, _)| i)
-                .expect("at least one shard");
-            load[lightest] += members.len();
-            for v in members {
-                shard_of[v.index()] = lightest as u32;
-            }
-        }
-        shard_of
     }
 
     /// The maximum hop diameter of any cluster, measured inside the induced
@@ -153,9 +122,9 @@ impl Decomposition {
         })
     }
 
-    /// The partition best suited for deriving a shard plan: the one whose
-    /// largest cluster is smallest (ties broken by partition index), so the
-    /// downstream bin packing starts from the most balanced clustering.
+    /// The most balanced partition: the one whose largest cluster is
+    /// smallest (ties broken by partition index). `ShardPlan` in
+    /// `ftspan-oracle` applies the same rule to its sequential clusterings.
     ///
     /// # Panics
     ///
@@ -220,14 +189,7 @@ fn exponential_shift_partition<R: Rng + ?Sized>(
             center_of: Vec::new(),
         };
     }
-    // δ_u ~ Exp(beta), truncated defensively at 8 ln(n+2)/beta.
-    let cap = 8.0 * ((n + 2) as f64).ln() / beta;
-    let shifts: Vec<f64> = (0..n)
-        .map(|_| {
-            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            (-u.ln() / beta).min(cap)
-        })
-        .collect();
+    let shifts = exponential_shifts(n, beta, rng);
 
     // Distributed Bellman–Ford on the shifted value max_u (δ_u − d(u, v)).
     // best[v] = (value, center); messages carry (center, value) = 2 words.
@@ -238,7 +200,7 @@ fn exponential_shift_partition<R: Rng + ?Sized>(
         .collect();
     let mut changed: Vec<bool> = vec![true; n];
     let mut net: Network<'_, (VertexId, f64)> = Network::new(graph, Model::congest());
-    let max_rounds = (cap.ceil() as usize) + 5;
+    let max_rounds = (shift_cap(n, beta).ceil() as usize) + 5;
     net.run_until_quiet(max_rounds, |v, inbox| {
         let idx = v.index();
         for msg in inbox {
@@ -401,38 +363,6 @@ mod tests {
             VertexId::new(0)
         );
         assert!((d.edge_coverage(&g) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shard_assignment_is_a_balanced_cluster_respecting_partition() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::connected_gnp(60, 0.1, &mut rng);
-        let d = padded_decomposition(&g, &DecompositionOptions::default(), &mut rng);
-        let p = d.sharding_partition();
-        for shards in [1usize, 3, 5] {
-            let assignment = p.shard_assignment(shards);
-            assert_eq!(assignment.len(), 60);
-            assert!(assignment.iter().all(|&s| (s as usize) < shards));
-            // Clusters are never split across shards.
-            for (_, members) in p.clusters() {
-                let first = assignment[members[0].index()];
-                assert!(members.iter().all(|m| assignment[m.index()] == first));
-            }
-            // Deterministic: recomputing yields the identical assignment.
-            assert_eq!(assignment, p.shard_assignment(shards));
-        }
-        // The chosen partition is the most balanced one.
-        let best = p.max_cluster_size();
-        assert!(d.partitions.iter().all(|q| q.max_cluster_size() >= best));
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be positive")]
-    fn zero_shards_is_rejected() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = generators::path(10);
-        let d = padded_decomposition(&g, &DecompositionOptions::default(), &mut rng);
-        let _ = d.sharding_partition().shard_assignment(0);
     }
 
     #[test]

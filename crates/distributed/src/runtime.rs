@@ -173,10 +173,12 @@ impl<'g, M: Clone> Network<'g, M> {
     ///
     /// Panics if a message is addressed to a non-neighbour (the models only
     /// allow communication along edges).
-    // Instantiated in the crate that runs the simulation. `#[inline]` lets
-    // that codegen unit inline the per-vertex step; left to codegen-unit
-    // partitioning, the inlining came and went with unrelated edits and
-    // moved the shard-plan build by about 13 %.
+    // Generic, so instantiated where a simulation runs: the LOCAL and
+    // CONGEST constructions and the padded decomposition's flood, whose cost
+    // the `distributed.*` layer metrics time. `#[inline]` lets that codegen
+    // unit inline the per-vertex step. Left to codegen-unit partitioning,
+    // the inlining came and went with unrelated edits, and a flood-bound
+    // build once moved by about 13 % with it.
     #[inline]
     pub fn round<F>(&mut self, mut node_step: F)
     where
@@ -216,7 +218,8 @@ impl<'g, M: Clone> Network<'g, M> {
 
     /// Runs rounds until `node_step` sends no messages at all, or `max_rounds`
     /// is reached. Returns the number of rounds executed in this call.
-    // Inlined for the same reason as `round`.
+    // Inlined for the same reason as `round`: every simulation drives its
+    // rounds through this loop, so it belongs in the caller's codegen unit.
     #[inline]
     pub fn run_until_quiet<F>(&mut self, max_rounds: usize, mut node_step: F) -> usize
     where

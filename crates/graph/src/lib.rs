@@ -15,6 +15,8 @@
 //!   shortest paths (used by the spanner verifier).
 //! * [`traversal`] / [`girth`] / [`metrics`] — connectivity, girth, and
 //!   summary statistics used by the analyses and the experiment harness.
+//! * [`cluster`] — exponential-shift (Miller–Peng–Xu) low-diameter
+//!   clustering in one sequential pass, the basis of shard planning.
 //! * [`generators`] — deterministic, seedable random-graph workloads.
 //! * [`io`] — plain-text edge-list serialization.
 //! * [`wire`] — compact binary encoding with bit-exact weights, the
@@ -45,6 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bfs;
+pub mod cluster;
 pub mod dijkstra;
 mod edge;
 mod epoch;

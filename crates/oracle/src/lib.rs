@@ -22,7 +22,7 @@
 //!   affected neighbourhood only ([`ftspan::repair`]), escalating to a full
 //!   warm-start respan when local repair is insufficient;
 //! * [`ShardedOracle`] scales the whole stack past one working set: a
-//!   deterministic [`ShardPlan`] (padded-decomposition clusters packed into
+//!   deterministic [`ShardPlan`] (exponential-shift clusters packed into
 //!   balanced shards) serves each shard from its own `FaultOracle` over the
 //!   shard's core plus a `2k − 1` halo, stitches cross-shard queries through
 //!   the [`BoundaryIndex`]'s portals, and falls back to a global oracle only

@@ -3,11 +3,13 @@
 //! global oracle otherwise.
 //!
 //! The [`ShardedOracle`] is the scaling layer over [`FaultOracle`]: a
-//! [`ShardPlan`] (derived deterministically from the padded decomposition of
-//! `ftspan-distributed`) assigns each vertex to a shard; every shard serves a
-//! **region** — its core vertices plus a halo of radius `2k − 1` — from the
-//! spanner induced on it alone (no copy of the input graph), with its own
-//! tree cache, shard-local dense ids and a shard-unique cache namespace.
+//! [`ShardPlan`] assigns each vertex to a shard by packing seeded
+//! exponential-shift clusters ([`ftspan_graph::cluster`], computed
+//! sequentially — serving never runs the network simulator); every shard
+//! serves a **region** — its core vertices plus a halo of radius `2k − 1` —
+//! from the spanner induced on it alone (no copy of the input graph), with
+//! its own tree cache, shard-local dense ids and a shard-unique cache
+//! namespace.
 //! Edge faults, which name input-graph edges, are resolved by endpoints
 //! straight to the region's spanner edges. Cross-shard queries are served
 //! from lazily-built **pair regions** (the union of two shards' regions,
@@ -45,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ftspan::{poly_greedy_spanner_with, FaultSet, PolyGreedyOptions, SpannerParams, SpannerResult};
-use ftspan_distributed::{padded_decomposition, DecompositionOptions};
+use ftspan_graph::cluster::{exponential_shifts, shifted_centers};
 use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
 use ftspan_graph::{Graph, IdRemap, VertexId};
 use rand::rngs::StdRng;
@@ -57,17 +59,18 @@ use crate::metrics::MetricsSnapshot;
 use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
 use crate::query::{Answer, Query, QueryKind};
 
-/// How a [`ShardPlan`] is derived from the padded decomposition.
+/// How a [`ShardPlan`] is derived from exponential-shift clusterings.
 #[derive(Clone, Debug)]
 pub struct ShardPlanOptions {
     /// Desired number of shards (the plan never produces more; tiny graphs
     /// may fill fewer).
     pub shards: usize,
-    /// Seed of the decomposition's exponential shifts. The plan is a pure
-    /// function of the graph and these options, so a fixed seed makes shard
-    /// assignment reproducible across runs and machines.
+    /// Seed of the exponential shifts. The plan is a pure function of the
+    /// graph and these options, so a fixed seed makes shard assignment
+    /// reproducible across runs and machines.
     pub seed: u64,
     /// Rate of the exponential shifts (cluster radius is `O(log n / beta)`).
+    /// Must be finite and positive.
     pub beta: f64,
     /// Candidate partitions to draw; the most balanced one is kept.
     pub partitions: usize,
@@ -92,11 +95,17 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Derives a plan from the graph's padded decomposition: draw
-    /// `options.partitions` low-diameter clusterings with the seeded RNG,
-    /// keep the most balanced one, and pack whole clusters into
-    /// `options.shards` shards of roughly equal size. Deterministic given
-    /// the graph and options.
+    /// Derives a plan from exponential-shift clusterings: draw
+    /// `options.partitions` shift vectors with the seeded RNG, cluster each
+    /// with [`shifted_centers`], keep the first clustering whose largest
+    /// cluster is smallest, and pack whole clusters into `options.shards`
+    /// shards of roughly equal size. Deterministic given the graph and
+    /// options.
+    ///
+    /// The clusterings are exactly the partitions `ftspan-distributed`'s
+    /// `padded_decomposition` floods out of the same seed; the plan computes
+    /// them sequentially in `O(n log n + m)` each and never runs the network
+    /// simulator.
     ///
     /// On low-diameter graphs the exponential-shift clustering can produce a
     /// single giant cluster, which would collapse every request onto one
@@ -105,22 +114,24 @@ impl ShardPlan {
     /// (the ball around its lowest vertex stays, the far half moves), so the
     /// plan always fills `min(shards, n)` shards while keeping the split
     /// halves as coherent as the graph allows.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `options.beta` is finite and positive: a NaN, negative
+    /// or infinite rate degenerates into singleton clusters, and a zero rate
+    /// into infinite shifts.
     #[must_use]
     pub fn build(graph: &Graph, options: &ShardPlanOptions) -> Self {
+        assert!(
+            options.beta.is_finite() && options.beta > 0.0,
+            "shard plan beta must be finite and positive, got {}",
+            options.beta
+        );
         if graph.vertex_count() == 0 {
             return Self::from_shard_of(Vec::new());
         }
         let shards = options.shards.max(1);
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let decomposition = padded_decomposition(
-            graph,
-            &DecompositionOptions {
-                beta: options.beta,
-                partitions: Some(options.partitions.max(1)),
-            },
-            &mut rng,
-        );
-        let assignment = decomposition.sharding_partition().shard_assignment(shards);
+        let assignment = pack_clusters(&balanced_clustering(graph, options), shards);
 
         let mut cores: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
         for (i, &s) in assignment.iter().enumerate() {
@@ -528,6 +539,53 @@ pub(crate) fn build_regions(
     regions
 }
 
+/// The cluster center of every vertex in the most balanced of
+/// `options.partitions` exponential-shift clusterings drawn from
+/// `options.seed`: the first whose largest cluster is smallest.
+fn balanced_clustering(graph: &Graph, options: &ShardPlanOptions) -> Vec<VertexId> {
+    let n = graph.vertex_count();
+    let mut rng = StdRng::seed_from_u64(options.seed);
+    (0..options.partitions.max(1))
+        .map(|_| shifted_centers(graph, &exponential_shifts(n, options.beta, &mut rng)))
+        .min_by_key(|centers| cluster_sizes(centers).into_iter().max().unwrap_or(0))
+        .expect("at least one partition is drawn")
+}
+
+/// Vertex count of every cluster, indexed by center id (0 for non-centers).
+fn cluster_sizes(center_of: &[VertexId]) -> Vec<usize> {
+    let mut sizes = vec![0usize; center_of.len()];
+    for c in center_of {
+        sizes[c.index()] += 1;
+    }
+    sizes
+}
+
+/// Packs a clustering into `shards` groups of roughly equal vertex count,
+/// returning the shard of every vertex.
+///
+/// Clusters are taken largest first (ties by center id), and each goes to
+/// the currently lightest shard (ties by shard index). Whole clusters are
+/// never split, so every intra-cluster edge stays internal to a shard, and
+/// the same clustering always yields the same assignment.
+fn pack_clusters(center_of: &[VertexId], shards: usize) -> Vec<u32> {
+    let sizes = cluster_sizes(center_of);
+    let mut centers: Vec<usize> = (0..sizes.len()).filter(|&c| sizes[c] > 0).collect();
+    centers.sort_by(|&a, &b| sizes[b].cmp(&sizes[a]).then(a.cmp(&b)));
+    let mut load = vec![0usize; shards];
+    let mut shard_of_center = vec![0u32; sizes.len()];
+    for c in centers {
+        let lightest = (0..shards)
+            .min_by_key(|&i| (load[i], i))
+            .expect("at least one shard");
+        load[lightest] += sizes[c];
+        shard_of_center[c] = lightest as u32;
+    }
+    center_of
+        .iter()
+        .map(|c| shard_of_center[c.index()])
+        .collect()
+}
+
 /// Splits a shard's members into two halves along the BFS layering of its
 /// induced subgraph: the ball around the lowest member stays, the farthest
 /// half (unreachable members first) moves out. Deterministic, and as locality
@@ -718,7 +776,7 @@ pub struct ShardedOracle {
 
 impl ShardedOracle {
     /// Builds the global spanner with the paper's polynomial-time modified
-    /// greedy, derives a shard plan from the padded decomposition, and wires
+    /// greedy, derives a shard plan from exponential-shift clusters, and wires
     /// up the sharded serving state.
     #[must_use]
     pub fn build(graph: Graph, params: SpannerParams, options: impl Into<ShardedOptions>) -> Self {
@@ -1130,6 +1188,116 @@ mod tests {
         );
         let total: usize = (0..other.shard_count()).map(|s| other.core(s).len()).sum();
         assert_eq!(total, 40);
+    }
+
+    /// FNV-1a of a plan's `shard_of` (little-endian `u32`s) and its core
+    /// sizes.
+    fn plan_pin(plan: &ShardPlan) -> (u64, Vec<usize>) {
+        let bytes: Vec<u8> = plan.shard_of.iter().flat_map(|s| s.to_le_bytes()).collect();
+        let sizes = (0..plan.shard_count())
+            .map(|s| plan.core(s).len())
+            .collect();
+        (ftspan_graph::fnv1a64(&bytes), sizes)
+    }
+
+    #[test]
+    fn plan_is_pinned_on_the_grid_and_on_a_refined_gnp() {
+        // Recorded from the plan built by the simulated CONGEST flood.
+        // Changing the shift draw order, the partition choice or a packing
+        // tie-break moves these values.
+        let options = ShardPlanOptions {
+            shards: 16,
+            ..ShardPlanOptions::default()
+        };
+        let grid = ShardPlan::build(&generators::grid(200, 200), &options);
+        assert_eq!(plan_pin(&grid), (0x5e85_abe9_28ea_7465, vec![2500; 16]));
+
+        // Low diameter: the packing fills only two shards, so the other
+        // fourteen come from `split_by_bfs_layers`.
+        let gnp = generators::connected_gnp(300, 0.1, &mut StdRng::seed_from_u64(1));
+        let mut filled = pack_clusters(&balanced_clustering(&gnp, &options), 16);
+        filled.sort_unstable();
+        filled.dedup();
+        assert_eq!(filled.len(), 2);
+        assert_eq!(
+            plan_pin(&ShardPlan::build(&gnp, &options)),
+            (
+                0x2255_a5f7_9c76_61d5,
+                vec![19, 1, 19, 19, 19, 19, 19, 19, 37, 19, 19, 19, 18, 18, 18, 18]
+            )
+        );
+    }
+
+    #[test]
+    fn packing_keeps_clusters_whole_and_fills_the_lightest_shard() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let graph = generators::connected_gnp(60, 0.1, &mut rng);
+        let options = ShardPlanOptions::default();
+        let centers = balanced_clustering(&graph, &options);
+        let largest = cluster_sizes(&centers).into_iter().max().unwrap_or(0);
+        for shards in [1usize, 3, 5] {
+            let assignment = pack_clusters(&centers, shards);
+            assert_eq!(assignment.len(), 60);
+            assert!(assignment.iter().all(|&s| (s as usize) < shards));
+            // Clusters are never split across shards.
+            for (v, c) in centers.iter().enumerate() {
+                assert_eq!(assignment[v], assignment[c.index()]);
+            }
+            // Greedy balance: no shard exceeds the lightest by more than the
+            // largest cluster.
+            let mut load = vec![0usize; shards];
+            for &s in &assignment {
+                load[s as usize] += 1;
+            }
+            assert!(load.iter().max().unwrap() - load.iter().min().unwrap() <= largest);
+            assert_eq!(assignment, pack_clusters(&centers, shards));
+        }
+        // The kept clustering is the most balanced of the drawn ones.
+        let mut rng = StdRng::seed_from_u64(options.seed);
+        for _ in 0..options.partitions {
+            let drawn = shifted_centers(&graph, &exponential_shifts(60, options.beta, &mut rng));
+            assert!(cluster_sizes(&drawn).into_iter().max().unwrap_or(0) >= largest);
+        }
+        // Zero requested shards plans one.
+        let one = ShardPlan::build(
+            &graph,
+            &ShardPlanOptions {
+                shards: 0,
+                ..options
+            },
+        );
+        assert_eq!(one.shard_count(), 1);
+    }
+
+    #[test]
+    fn degenerate_beta_is_rejected() {
+        let graph = generators::path(8);
+        for beta in [f64::NAN, -0.25, 0.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let options = ShardPlanOptions {
+                beta,
+                ..ShardPlanOptions::default()
+            };
+            let built = std::panic::catch_unwind(|| ShardPlan::build(&graph, &options));
+            let message = built.expect_err("a degenerate beta must panic");
+            let message = message
+                .downcast_ref::<String>()
+                .expect("the assert formats its message");
+            assert!(
+                message.contains("beta must be finite and positive"),
+                "{message}"
+            );
+        }
+        // Checked before anything else, on an empty graph too.
+        let empty = std::panic::catch_unwind(|| {
+            ShardPlan::build(
+                &Graph::new(0),
+                &ShardPlanOptions {
+                    beta: 0.0,
+                    ..ShardPlanOptions::default()
+                },
+            )
+        });
+        assert!(empty.is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! front-end, with **per-shard admission control**.
 //!
 //! Builds an `f = 2` fault-tolerant 3-spanner of a 990-node grid network,
-//! partitions it into 6 shards with the padded-decomposition plan, and
+//! partitions it into 6 shards with the exponential-shift cluster plan, and
 //! serves locality-biased traffic through the *same generic driver* the
 //! single-oracle demo uses (`examples/src/lib.rs`) — the backend is just a
 //! `ShardedOracle` this time, so the service's admission lanes become the
