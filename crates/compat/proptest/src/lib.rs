@@ -4,8 +4,8 @@
 //!
 //! The build environment has no access to crates.io, so this workspace ships
 //! the slice of the proptest API its tests use: the [`proptest!`] macro with
-//! `#![proptest_config(...)]`, range and tuple [`Strategy`] values,
-//! [`Strategy::prop_map`], and the `prop_assert*` macros.
+//! `#![proptest_config(...)]`, range and tuple [`Strategy`](strategy::Strategy) values,
+//! [`Strategy::prop_map`](strategy::Strategy::prop_map), and the `prop_assert*` macros.
 //!
 //! Differences from upstream: failing cases are **not shrunk** (the failing
 //! input is printed as-is), and generation is deterministic from a fixed

@@ -1,4 +1,4 @@
-//! The randomized `(2k − 1)`-spanner of Baswana and Sen [BS07].
+//! The randomized `(2k − 1)`-spanner of Baswana and Sen \[BS07\].
 //!
 //! The construction clusters vertices for `k − 1` phases, sampling clusters
 //! with probability `n^{−1/k}` per phase and connecting unsampled vertices to

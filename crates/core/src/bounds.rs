@@ -18,7 +18,7 @@ pub fn girth_size_bound(n: usize, k: u32) -> f64 {
 }
 
 /// Optimal fault-tolerant spanner size `O(f^{1−1/k} · n^{1+1/k})` achieved by
-/// the exponential-time greedy algorithm ([BP19], quoted as the target the
+/// the exponential-time greedy algorithm (\[BP19\], quoted as the target the
 /// paper compares against).
 #[must_use]
 pub fn optimal_ft_size_bound(n: usize, k: u32, f: u32) -> f64 {

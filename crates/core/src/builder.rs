@@ -23,11 +23,11 @@ pub enum Algorithm {
     ExactGreedy,
     /// The classical non-fault-tolerant greedy of [ADD+93] (`f` is ignored).
     ClassicGreedy,
-    /// The Baswana–Sen randomized spanner [BS07] (`f` is ignored).
+    /// The Baswana–Sen randomized spanner \[BS07\] (`f` is ignored).
     BaswanaSen,
-    /// Dinitz–Krauthgamer [DK11] with the classical greedy inside.
+    /// Dinitz–Krauthgamer \[DK11\] with the classical greedy inside.
     DinitzKrauthgamer,
-    /// Dinitz–Krauthgamer [DK11] with Baswana–Sen inside (the CONGEST combo).
+    /// Dinitz–Krauthgamer \[DK11\] with Baswana–Sen inside (the CONGEST combo).
     DinitzKrauthgamerBaswanaSen,
 }
 

@@ -1,4 +1,4 @@
-//! The Dinitz–Krauthgamer [DK11] black-box fault-tolerant spanner framework
+//! The Dinitz–Krauthgamer \[DK11\] black-box fault-tolerant spanner framework
 //! (Theorem 13 of the paper).
 //!
 //! Given any algorithm `A` that builds a `(2k − 1)`-spanner with `g(n)` edges,

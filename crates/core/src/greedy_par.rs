@@ -1,6 +1,6 @@
 //! Parallel modified greedy construction: speculative batch decisions on
 //! scoped threads, committed sequentially so the output is **bit-identical**
-//! to [`poly_greedy_spanner_with`](crate::poly_greedy_spanner_with).
+//! to [`poly_greedy_spanner_with`].
 //!
 //! The greedy sweep looks inherently sequential — every LBC decision runs
 //! against the spanner built so far — but the decisions are *local*: a
@@ -111,7 +111,7 @@ pub struct SpeculationStats {
 
 /// Builds the modified greedy spanner on multiple threads; the resulting
 /// spanner and certificates are bit-identical to
-/// [`poly_greedy_spanner_with`](crate::poly_greedy_spanner_with) with the
+/// [`poly_greedy_spanner_with`] with the
 /// same [`PolyGreedyOptions`], for every thread count and batch size.
 ///
 /// # Panics

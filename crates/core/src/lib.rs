@@ -16,9 +16,9 @@
 //! |---|---|---|---|
 //! | Modified greedy (the paper's contribution, Algorithms 3/4) | [`poly_greedy_spanner`] | `O(k·f^{1−1/k}·n^{1+1/k})` | polynomial |
 //! | Exact greedy [BDPW18, BP19] (Algorithm 1) | [`exact_greedy_spanner`] | `O(f^{1−1/k}·n^{1+1/k})` | exponential in `f` |
-//! | Dinitz–Krauthgamer [DK11] | [`dk::dk_spanner`] | `O(f^{2−1/k}·n^{1+1/k}·log n)` | polynomial |
+//! | Dinitz–Krauthgamer \[DK11\] | [`dk::dk_spanner`] | `O(f^{2−1/k}·n^{1+1/k}·log n)` | polynomial |
 //! | Classical greedy [ADD+93] | [`nonft::greedy_spanner`] | `O(n^{1+1/k})` | polynomial |
-//! | Baswana–Sen [BS07] | [`baswana_sen::baswana_sen_spanner`] | `O(k·n^{1+1/k})` | near-linear |
+//! | Baswana–Sen \[BS07\] | [`baswana_sen::baswana_sen_spanner`] | `O(k·n^{1+1/k})` | near-linear |
 //!
 //! plus the [`lbc`] Length-Bounded Cut approximation that powers the modified
 //! greedy, a fault-tolerance [`verify`] checker, [`blocking`]-set analysis

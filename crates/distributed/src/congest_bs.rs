@@ -9,7 +9,7 @@
 //! is local computation, plus one round to notify edge partners of
 //! added/discarded edges. The final join phase costs another two rounds.
 //! Total: `O(k²)` rounds with `O(1)`-word messages, exactly the budget the
-//! paper quotes from [BS07].
+//! paper quotes from \[BS07\].
 
 use std::collections::BTreeMap;
 

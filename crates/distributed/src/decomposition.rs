@@ -4,7 +4,7 @@
 //! into clusters of hop diameter `O(log n)` such that, with high probability,
 //! every edge is fully contained in at least one cluster over all partitions.
 //! We build each partition with the exponential-shift clustering of
-//! Miller–Peng–Xu [MPX13]: every vertex `u` draws `δ_u ~ Exp(β)` and every
+//! Miller–Peng–Xu \[MPX13\]: every vertex `u` draws `δ_u ~ Exp(β)` and every
 //! vertex `v` joins the cluster of the vertex maximizing `δ_u − d(u, v)`.
 //! Clusters are connected, have radius at most `max_u δ_u = O(log n / β)`
 //! with high probability, and any fixed edge is cut with probability

@@ -20,9 +20,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
+use ftspan_graph::dijkstra::DijkstraScratch;
 
-use crate::cache::KeyRef;
+use crate::cache::{CachedTree, KeyRef};
 use crate::oracle::FaultOracle;
 use crate::query::{Answer, Query};
 use crate::shard::{Route, ShardedOracle};
@@ -146,7 +146,7 @@ impl FaultOracle {
             queries.len(),
             workers,
             |(fp, idxs), window, scratch| {
-                let mut held: Option<(&Query, Arc<ShortestPathTree>)> = None;
+                let mut held: Option<(&Query, Arc<CachedTree>)> = None;
                 for (slot, &idx) in window.iter_mut().zip(idxs) {
                     *slot = Some(self.answer_group_query(queries, *fp, idx, &mut held, scratch));
                 }
@@ -172,21 +172,21 @@ impl FaultOracle {
         queries: &'q [Query],
         fingerprint: u64,
         idx: usize,
-        held: &mut Option<(&'q Query, Arc<ShortestPathTree>)>,
+        held: &mut Option<(&'q Query, Arc<CachedTree>)>,
         scratch: &mut DijkstraScratch,
     ) -> Answer {
         let query = &queries[idx];
-        if let Some((held_query, tree)) = held {
-            let root = tree.source();
+        if let Some((held_query, cached)) = held {
+            let root = cached.tree.source();
             if (root == query.u || root == query.v) && held_query.faults == query.faults {
-                return self.answer_from_tree(query.u, query.v, query.kind, tree, true);
+                return self.answer_from_tree(query.u, query.v, query.kind, &cached.tree, true);
             }
         }
         let key = KeyRef::with_fingerprint(self.cache_namespace(), fingerprint, &query.faults);
-        let (tree, cache_hit) = self.tree_for(&key, query.u, query.v, scratch);
-        let answer = self.answer_from_tree(query.u, query.v, query.kind, &tree, cache_hit);
+        let (cached, cache_hit) = self.tree_for(&key, query.u, query.v, scratch);
+        let answer = self.answer_from_tree(query.u, query.v, query.kind, &cached.tree, cache_hit);
         if self.options.cache_capacity > 0 {
-            *held = Some((query, tree));
+            *held = Some((query, cached));
         }
         answer
     }

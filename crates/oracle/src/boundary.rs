@@ -1,6 +1,6 @@
 //! The cross-shard boundary index: cut edges and portal vertices.
 //!
-//! A [`ShardPlan`](crate::ShardPlan) partitions the vertex set, but the
+//! A [`ShardPlan`] partitions the vertex set, but the
 //! spanner's edges do not respect the partition: some of them *cross* it.
 //! The [`BoundaryIndex`] records exactly those crossings — each **cut edge**
 //! (a spanner edge whose endpoints live in different shards) and each

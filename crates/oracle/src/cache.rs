@@ -13,6 +13,10 @@
 //! through [`KeyRef`], a borrowed key derived from the fault set in `O(|F|)`
 //! with **zero heap allocation**; an owned [`CacheKey`] is only materialized
 //! when a freshly computed tree is inserted (the miss path).
+//!
+//! Each entry also keeps its root's **escape distance** (see
+//! [`CachedTree::escape`]): a pure function of the same key and root, so it is
+//! computed once per built tree and read back with it on every hit.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -161,13 +165,40 @@ impl<'a> KeyRef<'a> {
     }
 }
 
+/// What one cache entry holds: a shortest-path tree on `H ∖ F` and its
+/// root's escape distance, both functions of the same fault set and root.
+/// Readers share it by [`Arc`] handle.
+#[derive(Debug)]
+pub struct CachedTree {
+    /// The shortest-path tree.
+    pub tree: ShortestPathTree,
+    /// The root's distance in `H ∖ F` to the nearest vertex of the escape
+    /// set the tree was built for, or `None` when no escape vertex is
+    /// reachable (always `None` for an empty escape set). A shard region's
+    /// escape set is its frontier.
+    pub escape: Option<f64>,
+}
+
+impl CachedTree {
+    /// Wraps a freshly built tree, computing its escape distance over
+    /// `escape` (`O(|escape|)`; free for an empty set).
+    #[must_use]
+    pub fn new(tree: ShortestPathTree, escape: &[VertexId]) -> Self {
+        let escape = escape
+            .iter()
+            .filter_map(|&x| tree.distance_to(x))
+            .min_by(f64::total_cmp);
+        Self { tree, escape }
+    }
+}
+
 /// All cached trees for one fault set. Trees are kept in a small vector —
 /// a fault set rarely accumulates more than a few dozen roots, and a linear
 /// scan of `(VertexId, Arc)` pairs is cheaper than hashing at that size.
 #[derive(Debug)]
 struct CacheSlot {
     key: CacheKey,
-    trees: Vec<(VertexId, Arc<ShortestPathTree>)>,
+    trees: Vec<(VertexId, Arc<CachedTree>)>,
     last_used: u64,
 }
 
@@ -255,7 +286,7 @@ impl TreeCache {
     /// refreshing the slot's recency on a fault-set hit. Allocation-free
     /// apart from the `Arc` handle clone.
     #[must_use]
-    pub fn get_ref(&mut self, key: &KeyRef<'_>, source: VertexId) -> Option<Arc<ShortestPathTree>> {
+    pub fn get_ref(&mut self, key: &KeyRef<'_>, source: VertexId) -> Option<Arc<CachedTree>> {
         self.tick += 1;
         let tick = self.tick;
         let i = self.position_matching(key)?;
@@ -275,7 +306,7 @@ impl TreeCache {
         key: &KeyRef<'_>,
         u: VertexId,
         v: VertexId,
-    ) -> Option<Arc<ShortestPathTree>> {
+    ) -> Option<Arc<CachedTree>> {
         self.tick += 1;
         let tick = self.tick;
         let i = self.position_matching(key)?;
@@ -296,7 +327,7 @@ impl TreeCache {
     /// Looks up the tree rooted at `source` under an owned key (test and
     /// tooling convenience; the hot path uses [`TreeCache::get_ref`]).
     #[must_use]
-    pub fn get(&mut self, key: &CacheKey, source: VertexId) -> Option<Arc<ShortestPathTree>> {
+    pub fn get(&mut self, key: &CacheKey, source: VertexId) -> Option<Arc<CachedTree>> {
         self.tick += 1;
         let tick = self.tick;
         let i = self.position_matching_owned(key)?;
@@ -310,7 +341,7 @@ impl TreeCache {
 
     /// Inserts a tree, evicting the least-recently-used fault set when a new
     /// fault set would exceed capacity. With capacity 0 this is a no-op.
-    pub fn insert(&mut self, key: CacheKey, source: VertexId, tree: Arc<ShortestPathTree>) {
+    pub fn insert(&mut self, key: CacheKey, source: VertexId, tree: Arc<CachedTree>) {
         if self.capacity == 0 {
             return;
         }
@@ -361,9 +392,9 @@ impl TreeCache {
                 + slot
                     .trees
                     .capacity()
-                    .saturating_mul(std::mem::size_of::<(VertexId, Arc<ShortestPathTree>)>());
-            for (_, tree) in &slot.trees {
-                bytes += tree.memory_bytes();
+                    .saturating_mul(std::mem::size_of::<(VertexId, Arc<CachedTree>)>());
+            for (_, cached) in &slot.trees {
+                bytes += cached.tree.memory_bytes();
             }
         }
         bytes
@@ -383,9 +414,10 @@ mod tests {
     use ftspan_graph::dijkstra::DijkstraScratch;
     use ftspan_graph::{eid, generators, vid};
 
-    fn tree_for(source: usize) -> Arc<ShortestPathTree> {
+    fn tree_for(source: usize) -> Arc<CachedTree> {
         let g = generators::path(6);
-        Arc::new(DijkstraScratch::new().shortest_path_tree(&g, vid(source)))
+        let tree = DijkstraScratch::new().shortest_path_tree(&g, vid(source));
+        Arc::new(CachedTree::new(tree, &[]))
     }
 
     #[test]
@@ -454,7 +486,7 @@ mod tests {
         assert!(cache.get(&key, vid(0)).is_none());
         cache.insert(key.clone(), vid(0), tree_for(0));
         let hit = cache.get(&key, vid(0)).expect("cached");
-        assert_eq!(hit.source(), vid(0));
+        assert_eq!(hit.tree.source(), vid(0));
         assert!(
             cache.get(&key, vid(1)).is_none(),
             "other sources still miss"
@@ -463,7 +495,7 @@ mod tests {
         let hit = cache
             .get_ref(&KeyRef::new(0, &faults), vid(0))
             .expect("cached");
-        assert_eq!(hit.source(), vid(0));
+        assert_eq!(hit.tree.source(), vid(0));
         assert_eq!(cache.fault_sets_cached(), 1);
         assert_eq!(cache.trees_cached(), 1);
     }

@@ -11,7 +11,7 @@
 //!
 //! * [`FaultOracle::distance`] / [`FaultOracle::path`] answer single queries
 //!   on `H ∖ F` for an arbitrary fault set `F`, backed by an LRU
-//!   [`cache`](crate::cache) of per-fault-set shortest-path trees keyed by
+//!   [`cache`] of per-fault-set shortest-path trees keyed by
 //!   the `O(|F|)` fingerprint from `ftspan-graph`;
 //! * [`FaultOracle::answer_batch`] fans a mixed query batch out over a
 //!   worker pool, grouping queries by fault set so every worker reuses both
@@ -93,7 +93,7 @@ pub mod snapshot;
 pub mod traits;
 
 pub use boundary::{BoundaryIndex, CutEdge};
-pub use cache::{CacheKey, TreeCache};
+pub use cache::{CacheKey, CachedTree, TreeCache};
 pub use churn::{ChurnConfig, ShardWaveOutcome, WaveOutcome, WaveReport};
 pub use hierarchy::{HierarchicalOptions, HierarchicalOracle};
 pub use metrics::{LocalitySplit, MetricsSnapshot, OracleMetrics, ServiceMetrics};

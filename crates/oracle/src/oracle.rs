@@ -1,6 +1,6 @@
 //! The [`FaultOracle`]: state, construction, and the single-query path.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ftspan::{
     poly_greedy_spanner_with, EdgeCertificate, FaultSet, PolyGreedyOptions, SpannerParams,
@@ -9,7 +9,7 @@ use ftspan::{
 use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
 use ftspan_graph::{Graph, VertexId};
 
-use crate::cache::{KeyRef, TreeCache};
+use crate::cache::{CachedTree, KeyRef, TreeCache};
 use crate::metrics::OracleMetrics;
 use crate::query::{Answer, Query, QueryKind};
 
@@ -55,6 +55,11 @@ impl Default for OracleOptions {
 /// [`FaultOracle`] and each shard, pair and leaf region: an LRU of
 /// shortest-path trees on `H ∖ F` under one cache namespace, plus the
 /// counters it feeds.
+///
+/// Poison policy: a cache can always be dropped. A thread that panicked
+/// while holding the lock may have left the LRU half-updated, so the next
+/// locker clears it and lifts the poison; later queries rebuild their trees
+/// and answer exactly as before.
 #[derive(Debug)]
 pub(crate) struct TreeStore {
     capacity: usize,
@@ -74,6 +79,16 @@ impl TreeStore {
         }
     }
 
+    /// Locks the cache, clearing it first if a panicking holder poisoned it.
+    fn lock(&self) -> MutexGuard<'_, TreeCache> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            self.cache.clear_poison();
+            cache
+        })
+    }
+
     /// Derives the borrowed (allocation-free) cache key for a fault set
     /// under this store's namespace.
     pub(crate) fn key_ref<'a>(&self, faults: &'a FaultSet) -> KeyRef<'a> {
@@ -88,12 +103,16 @@ impl TreeStore {
     /// Fetches the cached tree rooted at `root` — or at `either`, when the
     /// caller can read its answer off a tree rooted at the other endpoint —
     /// else computes one rooted at `root` on `spanner ∖ F` and caches it.
-    /// Returns the tree and whether it was a cache hit.
+    /// Returns the entry and whether it was a cache hit.
     ///
-    /// `edge_ids` names the graph the key's edge-fault ids refer to when it
-    /// is not `spanner`; the miss path translates them by endpoints. The hit
-    /// path allocates nothing beyond the `Arc` handle clone.
+    /// `escape` is the vertex set whose nearest distance from the root is
+    /// kept with the tree ([`CachedTree::escape`]); a caller passes the same
+    /// set on every call, and `&[]` when it needs none. `edge_ids` names the
+    /// graph the key's edge-fault ids refer to when it is not `spanner`; the
+    /// miss path translates them by endpoints. The hit path allocates
+    /// nothing beyond the `Arc` handle clone.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tree(
         &self,
         spanner: &Graph,
@@ -101,10 +120,11 @@ impl TreeStore {
         key: &KeyRef<'_>,
         root: VertexId,
         either: Option<VertexId>,
+        escape: &[VertexId],
         scratch: &mut DijkstraScratch,
-    ) -> (Arc<ShortestPathTree>, bool) {
+    ) -> (Arc<CachedTree>, bool) {
         if self.capacity > 0 {
-            let mut cache = self.cache.lock().expect("tree cache poisoned");
+            let mut cache = self.lock();
             let hit = match either {
                 Some(other) => cache.get_either_ref(key, root, other),
                 None => cache.get_ref(key, root),
@@ -113,7 +133,10 @@ impl TreeStore {
                 return (tree, true);
             }
         }
-        (self.compute(spanner, edge_ids, key, root, scratch), false)
+        (
+            self.compute(spanner, edge_ids, key, root, escape, scratch),
+            false,
+        )
     }
 
     /// The miss path of [`TreeStore::tree`]: translating edge faults and
@@ -125,36 +148,41 @@ impl TreeStore {
         edge_ids: Option<&Graph>,
         key: &KeyRef<'_>,
         root: VertexId,
+        escape: &[VertexId],
         scratch: &mut DijkstraScratch,
-    ) -> Arc<ShortestPathTree> {
+    ) -> Arc<CachedTree> {
         // Compute outside the lock; concurrent workers may race on the same
         // tree, in which case the last insert simply wins.
-        let tree = Arc::new(match edge_ids {
+        let tree = match edge_ids {
             Some(graph) => {
                 let spanner_faults = key.faults().translate_edges(graph, spanner);
                 scratch.shortest_path_tree(&spanner_faults.apply(spanner), root)
             }
             None => scratch.shortest_path_tree(&key.faults().apply(spanner), root),
-        });
+        };
+        let cached = Arc::new(CachedTree::new(tree, escape));
         self.metrics.record_tree_built();
         if self.capacity > 0 {
-            let mut cache = self.cache.lock().expect("tree cache poisoned");
-            cache.insert(key.to_owned_key(), root, Arc::clone(&tree));
+            self.lock()
+                .insert(key.to_owned_key(), root, Arc::clone(&cached));
         }
-        tree
+        cached
     }
 
     /// Drops every cached tree.
     pub(crate) fn clear(&self) {
-        self.cache.lock().expect("tree cache poisoned").clear();
+        self.lock().clear();
     }
 
     /// Heap bytes held by the tree cache.
     pub(crate) fn memory_bytes(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("tree cache poisoned")
-            .memory_bytes()
+        self.lock().memory_bytes()
+    }
+
+    /// The raw cache lock, for tests that poison it.
+    #[cfg(test)]
+    pub(crate) fn cache_lock(&self) -> &Mutex<TreeCache> {
+        &self.cache
     }
 }
 
@@ -380,8 +408,8 @@ impl FaultOracle {
         key: &KeyRef<'_>,
         scratch: &mut DijkstraScratch,
     ) -> Answer {
-        let (tree, cache_hit) = self.tree_for(key, u, v, scratch);
-        self.answer_from_tree(u, v, kind, &tree, cache_hit)
+        let (cached, cache_hit) = self.tree_for(key, u, v, scratch);
+        self.answer_from_tree(u, v, kind, &cached.tree, cache_hit)
     }
 
     /// Reads one answer off an already-resolved tree rooted at `u` or `v`.
@@ -429,9 +457,16 @@ impl FaultOracle {
         u: VertexId,
         v: VertexId,
         scratch: &mut DijkstraScratch,
-    ) -> (Arc<ShortestPathTree>, bool) {
-        self.trees
-            .tree(&self.spanner, Some(&self.graph), key, u, Some(v), scratch)
+    ) -> (Arc<CachedTree>, bool) {
+        self.trees.tree(
+            &self.spanner,
+            Some(&self.graph),
+            key,
+            u,
+            Some(v),
+            &[],
+            scratch,
+        )
     }
 
     /// Drops every cached tree and bumps the epoch; called by every

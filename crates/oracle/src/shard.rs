@@ -33,6 +33,14 @@
 //! all portals between two shards — reach the global fallback, and the
 //! [`ShardedMetrics`] record how often that happens.
 //!
+//! `front(x)` depends only on the region, the localized fault set and `x`,
+//! which is exactly what a region tree is cached under, so it is computed
+//! once per built tree and cached beside it ([`CachedTree::escape`]). And
+//! because `front(v) ≥ 0`, `d(u, v) ≤ front(u)` already certifies: `v`'s
+//! tree is fetched only when that fails.
+//!
+//! [`CachedTree::escape`]: crate::CachedTree::escape
+//!
 //! ## Boundary grouping
 //!
 //! With [`ShardedOptions::super_shards`] set, the shards are packed into
@@ -48,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ftspan::{poly_greedy_spanner_with, FaultSet, PolyGreedyOptions, SpannerParams, SpannerResult};
 use ftspan_graph::cluster::{exponential_shifts, shifted_centers};
-use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
+use ftspan_graph::dijkstra::DijkstraScratch;
 use ftspan_graph::{Graph, IdRemap, VertexId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -333,20 +341,15 @@ impl Region {
         }
     }
 
-    /// The shortest faulted-region distance from a tree's root to the
-    /// frontier, or `None` when the root cannot reach the frontier at all
-    /// (in which case no path through the root can leave the region).
-    fn frontier_distance(&self, tree: &ShortestPathTree) -> Option<f64> {
-        self.frontier
-            .iter()
-            .filter_map(|&p| tree.distance_to(p))
-            .min_by(f64::total_cmp)
-    }
-
     /// Attempts to answer the query (global ids) from this region alone.
     /// Returns `Some` only when the escape certificate proves the local
     /// answer equals the global one; `None` sends the caller to the global
     /// fallback.
+    ///
+    /// Each endpoint's `front` — its distance to the frontier in the
+    /// faulted region — is cached with its tree, so a certified hit reads
+    /// one cached entry and scans nothing. `v`'s tree is fetched only when
+    /// `u`'s side alone cannot certify the answer.
     pub(crate) fn try_answer(
         &self,
         u: VertexId,
@@ -360,33 +363,40 @@ impl Region {
         let lv = self.remap.to_local(v)?;
         let faults = self.localize_faults(global_faults, global_graph);
         let key = self.trees.key_ref(&faults);
-        // The escape certificate reads frontier distances off both
-        // endpoints' trees, so each lookup wants exactly its own root, and
-        // the localized faults already name region spanner edges.
-        let (tree_u, cache_hit) = self
-            .trees
-            .tree(&self.spanner, None, &key, lu, None, scratch);
+        // Each lookup wants exactly its own root, because `front` is read
+        // off the root's entry, and the localized faults already name
+        // region spanner edges.
+        let fetch = |root, scratch: &mut DijkstraScratch| {
+            self.trees.tree(
+                &self.spanner,
+                None,
+                &key,
+                root,
+                None,
+                &self.frontier,
+                scratch,
+            )
+        };
+        let (cached_u, cache_hit) = fetch(lu, scratch);
+        let tree_u = &cached_u.tree;
         let distance = tree_u.distance_to(lv);
 
-        let exact = match self.frontier_distance(&tree_u) {
+        let exact = match (distance, cached_u.escape) {
             // `u` cannot reach the frontier under these faults: no u–v path
             // leaves the region, so the local answer is the global answer.
-            None => true,
-            Some(front_u) => {
-                let (tree_v, _) = self
-                    .trees
-                    .tree(&self.spanner, None, &key, lv, None, scratch);
-                match (distance, self.frontier_distance(&tree_v)) {
-                    // Same escape-proofness, from the `v` side.
-                    (_, None) => true,
-                    // Any escaping walk costs at least front(u) + front(v);
-                    // a local distance at or below that floor is optimal.
-                    (Some(d), Some(front_v)) => d <= front_u + front_v,
-                    // Locally disconnected but both endpoints can escape:
-                    // the pair may be connected through other regions.
-                    (None, Some(_)) => false,
-                }
-            }
+            (_, None) => true,
+            // Any escaping walk costs at least front(u) + front(v) ≥
+            // front(u), so `v`'s side is not needed.
+            (Some(d), Some(front_u)) if d <= front_u => true,
+            (_, Some(front_u)) => match (distance, fetch(lv, scratch).0.escape) {
+                // Same escape-proofness, from the `v` side.
+                (_, None) => true,
+                // A local distance at or below the escape floor is optimal.
+                (Some(d), Some(front_v)) => d <= front_u + front_v,
+                // Locally disconnected but both endpoints can escape:
+                // the pair may be connected through other regions.
+                (None, Some(_)) => false,
+            },
         };
         if !exact {
             return None;
@@ -1146,6 +1156,7 @@ pub(crate) fn pair_namespace(a: u32, b: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftspan::FaultModel;
     use ftspan_graph::{generators, vid};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1153,6 +1164,10 @@ mod tests {
     fn sharded(seed: u64, shards: usize, f: u32) -> ShardedOracle {
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = generators::connected_gnp(48, 0.15, &mut rng);
+        sharded_on(graph, SpannerParams::vertex(2, f), shards)
+    }
+
+    fn sharded_on(graph: Graph, params: SpannerParams, shards: usize) -> ShardedOracle {
         let options = ShardedOptions {
             plan: ShardPlanOptions {
                 shards,
@@ -1160,7 +1175,7 @@ mod tests {
             },
             ..ShardedOptions::default()
         };
-        ShardedOracle::build(graph, SpannerParams::vertex(2, f), options)
+        ShardedOracle::build(graph, params, options)
     }
 
     #[test]
@@ -1473,6 +1488,239 @@ mod tests {
         assert!(oracle.pair_regions.lock().len() > 1);
         let _ = oracle.cache_stats();
         assert!(oracle.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn poisoned_tree_caches_keep_serving() {
+        let oracle = sharded(6, 3, 1);
+        let n = oracle.graph().vertex_count();
+        let faults = FaultSet::vertices([vid(9)]);
+        let pairs: Vec<(VertexId, VertexId)> = (0..n)
+            .step_by(3)
+            .flat_map(|u| (1..n).step_by(5).map(move |v| (vid(u), vid(v))))
+            .collect();
+        // Warm the caches so the poisoned stores hold trees.
+        for &(u, v) in &pairs {
+            let _ = oracle.distance(u, v, &faults);
+        }
+        let stores = [&oracle.regions[0].trees, &oracle.global().trees];
+        for store in stores {
+            std::thread::scope(|scope| {
+                let holder = scope.spawn(|| {
+                    let _guard = store.cache_lock().lock();
+                    panic!("poisoning a tree cache on purpose");
+                });
+                assert!(holder.join().is_err());
+            });
+            assert!(store.cache_lock().is_poisoned());
+        }
+
+        let mut local = 0;
+        for &(u, v) in &pairs {
+            if oracle.route(u, v) == Route::Local(0) {
+                local += 1;
+            }
+            assert_eq!(
+                oracle.distance(u, v, &faults).map(f64::to_bits),
+                oracle.global().distance(u, v, &faults).map(f64::to_bits),
+                "u {u} v {v}"
+            );
+        }
+        assert!(local > 0, "the poisoned region must be exercised");
+        for store in stores {
+            assert!(
+                !store.cache_lock().is_poisoned(),
+                "recovery lifts the poison"
+            );
+        }
+        // The recovered caches fill again: a repeated query hits.
+        let (u, v) = pairs[0];
+        let query = Query::distance(u, v, faults.clone());
+        let _ = oracle.answer(&query);
+        assert!(oracle.answer(&query).cache_hit);
+        assert!(oracle.global().answer(&query).cache_hit);
+        let _ = oracle.cache_stats();
+        assert!(oracle.memory_bytes() > 0);
+    }
+
+    /// The escape certificate as first written, the reference for the cached
+    /// one: read `front` off both endpoints' trees by scanning the frontier
+    /// from each. Trees are memoized per region and root.
+    struct TwoScanReference<'a> {
+        faults: &'a FaultSet,
+        graph: &'a Graph,
+        trees: HashMap<(*const Region, VertexId), ftspan_graph::dijkstra::ShortestPathTree>,
+        scratch: DijkstraScratch,
+    }
+
+    impl<'a> TwoScanReference<'a> {
+        fn new(faults: &'a FaultSet, graph: &'a Graph) -> Self {
+            Self {
+                faults,
+                graph,
+                trees: HashMap::new(),
+                scratch: DijkstraScratch::new(),
+            }
+        }
+
+        /// `(front(root), d(root, target))` in the faulted region.
+        fn front_and_distance(
+            &mut self,
+            region: &Region,
+            root: VertexId,
+            target: VertexId,
+        ) -> (Option<f64>, Option<f64>) {
+            let tree = self
+                .trees
+                .entry((std::ptr::from_ref(region), root))
+                .or_insert_with(|| {
+                    let faults = region.localize_faults(self.faults, self.graph);
+                    self.scratch
+                        .shortest_path_tree(&faults.apply(&region.spanner), root)
+                });
+            let front = region
+                .frontier
+                .iter()
+                .filter_map(|&p| tree.distance_to(p))
+                .min_by(f64::total_cmp);
+            (front, tree.distance_to(target))
+        }
+
+        /// Whether the two-scan certificate accepts `(u, v)` (global ids);
+        /// `false` when an endpoint is not a region member.
+        fn certifies(&mut self, region: &Region, u: VertexId, v: VertexId) -> bool {
+            let (Some(lu), Some(lv)) = (region.remap.to_local(u), region.remap.to_local(v)) else {
+                return false;
+            };
+            match self.front_and_distance(region, lu, lv) {
+                (None, _) => true,
+                (Some(front_u), distance) => {
+                    match (distance, self.front_and_distance(region, lv, lu).0) {
+                        (_, None) => true,
+                        (Some(d), Some(front_v)) => d <= front_u + front_v,
+                        (None, Some(_)) => false,
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that `try_answer` certifies every pair of `oracle`'s graph
+    /// exactly when the two-scan reference does, under each fault set: once
+    /// with the region's cache emptied before every query (cold), then
+    /// again with every tree the cold pass left behind (warm).
+    fn assert_certificate_matches_two_scans(oracle: &ShardedOracle, fault_sets: &[FaultSet]) {
+        let graph = oracle.graph();
+        let n = graph.vertex_count();
+        let mut scratch = DijkstraScratch::new();
+        let (mut certified, mut refused) = (0, 0);
+        for faults in fault_sets {
+            let mut reference = TwoScanReference::new(faults, graph);
+            for cold in [true, false] {
+                for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (vid(u), vid(v)))) {
+                    let region = match oracle.route(u, v) {
+                        Route::Local(s) => Arc::clone(&oracle.regions[s as usize]),
+                        Route::Pair(a, b) => oracle.pair_region(a, b),
+                    };
+                    if cold {
+                        region.trees.clear();
+                    }
+                    let expected = reference.certifies(&region, u, v);
+                    let got = region
+                        .try_answer(u, v, QueryKind::Distance, faults, graph, &mut scratch)
+                        .is_some();
+                    assert_eq!(got, expected, "cold {cold} u {u} v {v} faults {faults:?}");
+                    if expected {
+                        certified += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(certified > 0 && refused > 0, "both outcomes must occur");
+    }
+
+    /// Fault sets spread over the graph: the empty set plus `count` sets of
+    /// `size` seeded vertices (or edges of the input graph).
+    fn spread_fault_sets(graph: &Graph, edges: bool, size: usize, count: usize) -> Vec<FaultSet> {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut sets = vec![FaultSet::empty(if edges {
+            FaultModel::Edge
+        } else {
+            FaultModel::Vertex
+        })];
+        for _ in 0..count {
+            sets.push(if edges {
+                let m = graph.edge_count();
+                FaultSet::edges((0..size).map(|_| ftspan_graph::eid(rng.gen_range(0..m))))
+            } else {
+                let n = graph.vertex_count();
+                FaultSet::vertices((0..size).map(|_| vid(rng.gen_range(0..n))))
+            });
+        }
+        sets
+    }
+
+    #[test]
+    fn cached_certificate_matches_the_two_scan_reference_on_a_grid() {
+        let graph = generators::grid(10, 10);
+        let vertex = sharded_on(graph.clone(), SpannerParams::vertex(2, 2), 4);
+        assert_certificate_matches_two_scans(&vertex, &spread_fault_sets(&graph, false, 2, 2));
+        let edge = sharded_on(graph.clone(), SpannerParams::edge(2, 2), 4);
+        assert_certificate_matches_two_scans(&edge, &spread_fault_sets(&graph, true, 2, 2));
+    }
+
+    #[test]
+    fn cached_certificate_matches_the_two_scan_reference_on_a_weighted_geometric_graph() {
+        // Sparse enough that halos stay short of the whole graph; it may be
+        // disconnected, which exercises the locally-disconnected refusal.
+        let mut rng = StdRng::seed_from_u64(8106);
+        let graph = generators::random_geometric(80, 0.16, &mut rng);
+        let graph = generators::with_random_weights(&graph, 1.0, 8.0, &mut rng);
+        let vertex = sharded_on(graph.clone(), SpannerParams::vertex(2, 1), 4);
+        assert_certificate_matches_two_scans(&vertex, &spread_fault_sets(&graph, false, 1, 2));
+        let edge = sharded_on(graph.clone(), SpannerParams::edge(2, 1), 4);
+        assert_certificate_matches_two_scans(&edge, &spread_fault_sets(&graph, true, 1, 2));
+    }
+
+    #[test]
+    fn a_query_certified_from_u_alone_builds_one_region_tree() {
+        let oracle = sharded_on(generators::grid(12, 12), SpannerParams::vertex(2, 1), 4);
+        let faults = FaultSet::empty(FaultModel::Vertex);
+        let region = &oracle.regions[0];
+        let core = oracle.plan().core(0);
+        // A core pair whose local distance is within u's own escape floor.
+        let mut reference = TwoScanReference::new(&faults, oracle.graph());
+        let local = |x: VertexId| region.remap.to_local(x).expect("core vertices are members");
+        let (u, v) = core
+            .iter()
+            .flat_map(|&u| core.iter().map(move |&v| (u, v)))
+            .find(|&(u, v)| {
+                u != v
+                    && matches!(
+                        reference.front_and_distance(region, local(u), local(v)),
+                        (Some(front_u), Some(d)) if d <= front_u
+                    )
+            })
+            .expect("some core pair is certified from u's side alone");
+        assert_eq!(oracle.route(u, v), Route::Local(0));
+        region.trees.clear();
+        let before = region.trees.metrics().snapshot().trees_built;
+        let answer = region.try_answer(
+            u,
+            v,
+            QueryKind::Distance,
+            &faults,
+            oracle.graph(),
+            &mut DijkstraScratch::new(),
+        );
+        assert!(answer.is_some(), "the query is certified locally");
+        assert_eq!(
+            region.trees.metrics().snapshot().trees_built - before,
+            1,
+            "only u's tree is needed"
+        );
     }
 
     #[test]

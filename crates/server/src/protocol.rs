@@ -31,7 +31,7 @@
 //! reason byte — a rate-limited client is told so, never silently
 //! dropped), `6` error (length-prefixed UTF-8 message), `7` journal
 //! entries (`u64 count · count ×` checksummed
-//! [`JournalEntry`](ftspan_oracle::JournalEntry) — the replication feed),
+//! [`JournalEntry`] — the replication feed),
 //! `8` promoted (`u64 epoch`).
 //!
 //! Answers carry the distance (presence byte + IEEE-754 bits, so the

@@ -1,6 +1,6 @@
 //! The snapshot-bootstrapped, journal-following read replica.
 //!
-//! A [`ReplicaServer`] is a full [`Server`](crate::Server) in replica
+//! A [`ReplicaServer`] is a full [`Server`] in replica
 //! role: it downloads the primary's snapshot, restores the oracle
 //! bit-identically, subscribes to the primary's wave journal, and applies
 //! each streamed entry through its own service wave barrier — verifying

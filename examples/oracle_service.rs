@@ -1,5 +1,5 @@
 //! A fault-tolerant distance service under rolling fault waves, behind the
-//! [`OracleService`] front-end.
+//! [`OracleService`](ftspan_oracle::OracleService) front-end.
 //!
 //! Builds an `f = 2` fault-tolerant 3-spanner of a 1 000-node network and
 //! serves five bursts of 2 000 mixed distance/path requests while waves of

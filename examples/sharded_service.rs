@@ -1,4 +1,4 @@
-//! A sharded fault-tolerant distance service behind the [`OracleService`]
+//! A sharded fault-tolerant distance service behind the [`OracleService`](ftspan_oracle::OracleService)
 //! front-end, with **per-shard admission control**.
 //!
 //! Builds an `f = 2` fault-tolerant 3-spanner of a 990-node grid network,

@@ -261,3 +261,58 @@ fn sharded_local_cached_hits_stay_lean() {
          — expected only the per-query fault localization"
     );
 }
+
+#[test]
+fn warm_sharded_hits_allocate_at_most_the_fault_localization() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A warm sharded hit reads the escape distance cached with each region
+    // tree: no frontier scan and no allocation of its own. What remains is
+    // the localized fault list, built once per query when a fault is a
+    // region member and empty (no allocation) otherwise.
+    let options = ShardedOptions {
+        plan: ShardPlanOptions {
+            shards: 4,
+            ..ShardPlanOptions::default()
+        },
+        ..ShardedOptions::default()
+    };
+    let oracle = ShardedOracle::build(
+        generators::grid(40, 40),
+        SpannerParams::vertex(2, 2),
+        options,
+    );
+    // Short pairs from shard 0's core, which the escape certificate serves
+    // locally (or stitched, when `v` crosses into a neighbouring shard).
+    let core0 = oracle.plan().core(0);
+    let pairs: Vec<_> = core0
+        .iter()
+        .step_by(5)
+        .flat_map(|&u| [1, 2, 40, 81].map(|step| (u, vid((u.index() + step) % 1600))))
+        .collect();
+    let fault_free = FaultSet::vertices([]);
+    let faulted = FaultSet::vertices([core0[core0.len() / 3], core0[2 * core0.len() / 3]]);
+    for faults in [&fault_free, &faulted] {
+        // Warm-up: builds every tree and pair region the pairs need.
+        for &(u, v) in &pairs {
+            let _ = oracle.distance(u, v, faults);
+        }
+        let hits = 5 * pairs.len() as u64;
+        let allocations = count_allocations(|| {
+            for _ in 0..5 {
+                for &(u, v) in &pairs {
+                    let _ = oracle.distance(u, v, faults);
+                }
+            }
+        });
+        let bound = if faults.is_empty() { 0 } else { hits };
+        assert!(
+            allocations <= bound,
+            "{hits} warm sharded hits under {} faults allocated {allocations} times \
+             (bound {bound})",
+            faults.len()
+        );
+    }
+    // The pairs really take the region path, not the global fallback.
+    let split = oracle.metrics().snapshot();
+    assert!(split.local + split.stitched > 10 * split.global_fallbacks);
+}
