@@ -179,7 +179,8 @@ pub fn eccentricity<V: GraphView>(view: &V, source: VertexId) -> Option<u32> {
 /// affected neighbourhood; a scratch instance keeps the distance array and
 /// queue allocations alive across those runs (resizing to each view's vertex
 /// count), mirroring [`crate::dijkstra::DijkstraScratch`] for the unweighted
-/// case.
+/// case. Like the other pooled lanes it walks the raw adjacency and checks
+/// its own distance array before [`GraphView::admits`], with a flat FIFO.
 ///
 /// # Examples
 ///
@@ -199,7 +200,8 @@ pub fn eccentricity<V: GraphView>(view: &V, source: VertexId) -> Option<u32> {
 #[derive(Clone, Debug, Default)]
 pub struct BfsScratch {
     dist: Vec<Option<u32>>,
-    queue: VecDeque<VertexId>,
+    /// Flat FIFO read from a head index: every vertex enters at most once.
+    queue: Vec<VertexId>,
 }
 
 impl BfsScratch {
@@ -244,18 +246,20 @@ impl BfsScratch {
         for s in sources {
             if s.index() < n && view.contains_vertex(s) && self.dist[s.index()].is_none() {
                 self.dist[s.index()] = Some(0);
-                self.queue.push_back(s);
+                self.queue.push(s);
             }
         }
-        while let Some(u) = self.queue.pop_front() {
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
             let du = self.dist[u.index()].expect("queued vertex must have a distance");
             if du >= max_hops {
                 continue;
             }
-            for (v, _) in view.neighbors(u) {
-                if self.dist[v.index()].is_none() {
+            for (v, e) in view.raw_neighbors(u) {
+                if self.dist[v.index()].is_none() && view.admits(v, e) {
                     self.dist[v.index()] = Some(du + 1);
-                    self.queue.push_back(v);
+                    self.queue.push(v);
                 }
             }
         }
@@ -293,6 +297,15 @@ impl BfsScratch {
 /// carries exactly the parent the full tree records. Paths extracted from
 /// either mode are therefore identical, which is what lets the incremental
 /// engine swap one for the other without changing any decision.
+///
+/// Both modes walk the view's raw adjacency
+/// ([`GraphView::raw_neighbors`]) and test `!discovered(v)` before
+/// [`GraphView::admits`]: a neighbour already reached costs one epoch-mark
+/// read instead of the fault-mask loads. The two tests are side-effect
+/// free, so the discovered vertices, their order and their parents are
+/// exactly those of a loop over [`GraphView::neighbors`], and every path
+/// (and every LBC decision built on one) stays bit-identical. The FIFO is
+/// a flat vector read from a head index.
 #[derive(Clone, Debug, Default)]
 pub struct HopBfsScratch {
     /// Set ⇔ the vertex was discovered by the current search.
@@ -300,7 +313,8 @@ pub struct HopBfsScratch {
     dist: Vec<u32>,
     parent_vertex: Vec<u32>,
     parent_edge: Vec<u32>,
-    queue: VecDeque<VertexId>,
+    /// Flat FIFO of the current search, read from a head index.
+    queue: Vec<VertexId>,
     /// Source of the tree currently held (see [`HopBfsScratch::build_tree`]).
     tree_source: Option<VertexId>,
 }
@@ -369,19 +383,21 @@ impl HopBfsScratch {
         }
         self.begin(view.vertex_count());
         self.discover(source, 0, None);
-        self.queue.push_back(source);
-        'search: while let Some(u) = self.queue.pop_front() {
+        self.queue.push(source);
+        let mut head = 0;
+        'search: while let Some(&u) = self.queue.get(head) {
+            head += 1;
             let du = self.dist[u.index()];
             if du >= max_hops {
                 continue;
             }
-            for (v, e) in view.neighbors(u) {
-                if !self.discovered(v) {
+            for (v, e) in view.raw_neighbors(u) {
+                if !self.discovered(v) && view.admits(v, e) {
                     self.discover(v, du + 1, Some((u, e)));
                     if v == target {
                         break 'search;
                     }
-                    self.queue.push_back(v);
+                    self.queue.push(v);
                 }
             }
         }
@@ -405,16 +421,18 @@ impl HopBfsScratch {
         }
         self.discover(source, 0, None);
         self.tree_source = Some(source);
-        self.queue.push_back(source);
-        while let Some(u) = self.queue.pop_front() {
+        self.queue.push(source);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
             let du = self.dist[u.index()];
             if du >= max_hops {
                 continue;
             }
-            for (v, e) in view.neighbors(u) {
-                if !self.discovered(v) {
+            for (v, e) in view.raw_neighbors(u) {
+                if !self.discovered(v) && view.admits(v, e) {
                     self.discover(v, du + 1, Some((u, e)));
-                    self.queue.push_back(v);
+                    self.queue.push(v);
                 }
             }
         }

@@ -5,9 +5,14 @@
 //! algorithms themselves only ever use BFS (see [`crate::bfs`]).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::{GraphView, VertexId};
+
+/// The parent slot of a vertex that has none (the source, or unreached).
+/// Free as a sentinel: graphs hold at most 2³² − 1 vertices (see
+/// [`VertexId::new`]), so no vertex index equals `u32::MAX`.
+const NO_PARENT: u32 = u32::MAX;
 
 /// Entry in the Dijkstra priority queue (min-heap by distance).
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -168,7 +173,9 @@ pub fn shortest_weighted_path<V: GraphView>(
 pub struct ShortestPathTree {
     source: VertexId,
     dist: Vec<f64>,
-    parent: Vec<Option<VertexId>>,
+    /// Parent vertex index, [`NO_PARENT`] for the source and unreached
+    /// vertices: 4 bytes per vertex where `Option<VertexId>` takes 8.
+    parent: Vec<u32>,
 }
 
 impl ShortestPathTree {
@@ -191,7 +198,7 @@ impl ShortestPathTree {
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.dist.capacity() * std::mem::size_of::<f64>()
-            + self.parent.capacity() * std::mem::size_of::<Option<VertexId>>()
+            + self.parent.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Weighted distance from the source to `v`, or `None` when `v` is
@@ -212,7 +219,9 @@ impl ShortestPathTree {
         let mut path = vec![v];
         let mut cur = v;
         while cur != self.source {
-            cur = self.parent[cur.index()].expect("finite distance implies a parent chain");
+            let parent = self.parent[cur.index()];
+            assert_ne!(parent, NO_PARENT, "finite distance implies a parent chain");
+            cur = VertexId::from(parent);
             path.push(cur);
         }
         path.reverse();
@@ -244,6 +253,16 @@ impl ShortestPathTree {
 /// among equal-distance predecessors (and therefore which of several equally
 /// short paths a tree reports) can differ.
 ///
+/// Both lanes walk the view's raw adjacency ([`GraphView::raw_neighbors`])
+/// and test their own state before the faults: the Dial lane admits a
+/// neighbour when `dist` is still infinite **and** [`GraphView::admits`]
+/// holds, the heap lane when the candidate distance improves **and** the
+/// step is admitted. Both tests are side-effect free, so the admitted
+/// neighbours, their order and hence every distance, parent and path are
+/// exactly those of a loop over [`GraphView::neighbors`]; a neighbour that
+/// is already reached just skips the fault-mask loads. The Dial FIFO is a
+/// flat vector with a head index, and parents are `u32` indices.
+///
 /// # Examples
 ///
 /// ```
@@ -261,11 +280,13 @@ impl ShortestPathTree {
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     dist: Vec<f64>,
-    parent: Vec<Option<VertexId>>,
+    /// Parent vertex index per vertex, [`NO_PARENT`] when there is none.
+    parent: Vec<u32>,
     settled: Vec<bool>,
     heap: BinaryHeap<HeapEntry>,
-    /// FIFO bucket of the Dial lane (unit weights ⇒ one active bucket).
-    bucket: VecDeque<VertexId>,
+    /// FIFO bucket of the Dial lane (unit weights ⇒ one active bucket): a
+    /// flat vector read from a head index, since every vertex enters once.
+    bucket: Vec<VertexId>,
 }
 
 impl DijkstraScratch {
@@ -283,7 +304,7 @@ impl DijkstraScratch {
             parent: Vec::with_capacity(n),
             settled: Vec::with_capacity(n),
             heap: BinaryHeap::with_capacity(n),
-            bucket: VecDeque::with_capacity(n),
+            bucket: Vec::with_capacity(n),
         }
     }
 
@@ -318,7 +339,7 @@ impl DijkstraScratch {
         self.dist.clear();
         self.dist.resize(n, f64::INFINITY);
         self.parent.clear();
-        self.parent.resize(n, None);
+        self.parent.resize(n, NO_PARENT);
         if view.contains_vertex(source) {
             if view.unit_weighted() {
                 self.run_dial(view, source);
@@ -335,16 +356,18 @@ impl DijkstraScratch {
     /// `f64`, so the sums match the heap lane's).
     fn run_dial<V: GraphView>(&mut self, view: &V, source: VertexId) {
         self.bucket.clear();
+        self.bucket.reserve(self.dist.len());
         self.dist[source.index()] = 0.0;
-        self.bucket.push_back(source);
-        while let Some(u) = self.bucket.pop_front() {
+        self.bucket.push(source);
+        let mut head = 0;
+        while let Some(&u) = self.bucket.get(head) {
+            head += 1;
             let du = self.dist[u.index()];
-            for (nbr, _) in view.neighbors(u) {
-                let slot = &mut self.dist[nbr.index()];
-                if slot.is_infinite() {
-                    *slot = du + 1.0;
-                    self.parent[nbr.index()] = Some(u);
-                    self.bucket.push_back(nbr);
+            for (y, e) in view.raw_neighbors(u) {
+                if self.dist[y.index()].is_infinite() && view.admits(y, e) {
+                    self.dist[y.index()] = du + 1.0;
+                    self.parent[y.index()] = u.as_u32();
+                    self.bucket.push(y);
                 }
             }
         }
@@ -366,14 +389,14 @@ impl DijkstraScratch {
                 continue;
             }
             self.settled[vertex.index()] = true;
-            for (nbr, e) in view.neighbors(vertex) {
+            for (y, e) in view.raw_neighbors(vertex) {
                 let cand = distance + view.edge_weight(e);
-                if cand < self.dist[nbr.index()] {
-                    self.dist[nbr.index()] = cand;
-                    self.parent[nbr.index()] = Some(vertex);
+                if cand < self.dist[y.index()] && view.admits(y, e) {
+                    self.dist[y.index()] = cand;
+                    self.parent[y.index()] = vertex.as_u32();
                     self.heap.push(HeapEntry {
                         distance: cand,
-                        vertex: nbr,
+                        vertex: y,
                     });
                 }
             }

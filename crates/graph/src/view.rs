@@ -14,6 +14,27 @@ use crate::{EdgeId, Graph, IdRemap, VertexId};
 /// All traversal algorithms ([`bfs`](crate::bfs), [`dijkstra`](crate::dijkstra),
 /// connectivity, girth) are generic over this trait so that they can run on a
 /// full [`Graph`] or on a [`FaultView`] without copying.
+///
+/// # Raw adjacency and admission
+///
+/// A view exposes its live adjacency two ways. [`GraphView::neighbors`]
+/// yields only the surviving `(neighbor, edge)` pairs. The pooled traversal
+/// lanes instead walk [`GraphView::raw_neighbors`], the unfiltered adjacency
+/// of the underlying graph, test their own visited/distance state first and
+/// only then ask [`GraphView::admits`] whether the step survives the faults.
+/// A neighbour that is already reached then costs one array read instead of
+/// the fault-mask loads. The contract that keeps this exact:
+///
+/// * `raw_neighbors(v)` yields a superset of `neighbors(v)` in the same
+///   relative order;
+/// * for a live `v`, a pair of `raw_neighbors(v)` appears in `neighbors(v)`
+///   exactly when `admits(nbr, e)` holds.
+///
+/// A lane that only expands live vertices and checks `visited && admits`
+/// (two side-effect-free tests joined by `&&`) therefore sees the same
+/// admitted neighbours in the same order as one iterating `neighbors`, so
+/// every distance, parent and path it reports is bit-identical. The
+/// defaults (`neighbors` and `true`) satisfy the contract for any view.
 pub trait GraphView {
     /// Total size of the vertex identifier space (including faulted vertices).
     fn vertex_count(&self) -> usize;
@@ -29,6 +50,21 @@ pub trait GraphView {
     ///
     /// If `v` itself is faulted the iterator is empty.
     fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_;
+
+    /// Iterates over the `(neighbor, edge)` pairs of `v` in the underlying
+    /// graph, faulted or not, in [`GraphView::neighbors`] order. Pair it with
+    /// [`GraphView::admits`] (see the trait docs); `v` must be live.
+    fn raw_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.neighbors(v)
+    }
+
+    /// Returns `true` if the step from a live vertex to `nbr` over `e` (a
+    /// pair of its [`GraphView::raw_neighbors`]) survives the faults.
+    #[inline]
+    fn admits(&self, nbr: VertexId, e: EdgeId) -> bool {
+        let _ = (nbr, e);
+        true
+    }
 
     /// Weight of edge `e` in the underlying graph.
     fn edge_weight(&self, e: EdgeId) -> f64;
@@ -114,6 +150,16 @@ impl<T: GraphView + ?Sized> GraphView for &T {
     #[inline]
     fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
         (**self).neighbors(v)
+    }
+
+    #[inline]
+    fn raw_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        (**self).raw_neighbors(v)
+    }
+
+    #[inline]
+    fn admits(&self, nbr: VertexId, e: EdgeId) -> bool {
+        (**self).admits(nbr, e)
     }
 
     #[inline]
@@ -481,9 +527,21 @@ impl GraphView for FaultView<'_> {
     #[inline]
     fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
         let blocked_self = self.vertex_blocked[v.index()];
-        self.graph.neighbors(v).filter(move |&(nbr, e)| {
-            !blocked_self && !self.vertex_blocked[nbr.index()] && !self.edge_blocked[e.index()]
-        })
+        self.raw_neighbors(v)
+            .filter(move |&(nbr, e)| !blocked_self && self.admits(nbr, e))
+    }
+
+    #[inline]
+    fn raw_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.graph.neighbors(v)
+    }
+
+    /// Tests the vertex mask, and the edge mask only when some edge is
+    /// blocked (vertex-fault views never load it).
+    #[inline]
+    fn admits(&self, nbr: VertexId, e: EdgeId) -> bool {
+        !self.vertex_blocked[nbr.index()]
+            && (self.blocked_edge_count == 0 || !self.edge_blocked[e.index()])
     }
 
     #[inline]
@@ -643,9 +701,18 @@ impl GraphView for ScratchFaultView<'_, '_> {
     #[inline]
     fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
         let blocked_self = self.is_vertex_blocked(v);
-        self.graph.neighbors(v).filter(move |&(nbr, e)| {
-            !blocked_self && !self.is_vertex_blocked(nbr) && !self.is_edge_blocked(e)
-        })
+        self.raw_neighbors(v)
+            .filter(move |&(nbr, e)| !blocked_self && self.admits(nbr, e))
+    }
+
+    #[inline]
+    fn raw_neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.graph.neighbors(v)
+    }
+
+    #[inline]
+    fn admits(&self, nbr: VertexId, e: EdgeId) -> bool {
+        !self.is_vertex_blocked(nbr) && !self.is_edge_blocked(e)
     }
 
     #[inline]

@@ -23,7 +23,7 @@ use std::thread;
 use ftspan_graph::dijkstra::DijkstraScratch;
 
 use crate::cache::{CachedTree, KeyRef};
-use crate::oracle::FaultOracle;
+use crate::oracle::{with_query_scratch, FaultOracle};
 use crate::query::{Answer, Query};
 use crate::shard::{Route, ShardedOracle};
 
@@ -64,10 +64,12 @@ fn split_windows<'a, T>(
 }
 
 /// Answers every group and returns the answers in request order. Groups are
-/// claimed through an atomic cursor by `workers` scoped threads (the calling
-/// thread alone when `workers <= 1`), each with its own
-/// [`DijkstraScratch`]; `answer_group` fills the claimed group's window, one
-/// slot per index of the group in order.
+/// claimed through an atomic cursor by `workers` scoped threads, each with
+/// its own [`DijkstraScratch`], or by the calling thread alone when
+/// `workers <= 1`. That lane reuses the thread's recycled query scratch, so
+/// a one-query frame never regrows graph-sized buffers; nothing inside
+/// `answer_group` borrows that scratch again. `answer_group` fills the
+/// claimed group's window, one slot per index of the group in order.
 fn fan_out<T: Sync>(
     groups: &[(T, Vec<usize>)],
     total: usize,
@@ -78,25 +80,22 @@ fn fan_out<T: Sync>(
     grouped.resize_with(total, || None);
     let cursor = AtomicUsize::new(0);
     let windows = split_windows(&mut grouped, groups);
-    let work = || {
-        let mut scratch = DijkstraScratch::new();
-        loop {
-            let g = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(group) = groups.get(g) else {
-                break;
-            };
-            // Exactly one worker claims group `g`, so this lock is
-            // uncontended and taken once per group.
-            let mut window = windows[g].lock().expect("batch output window poisoned");
-            answer_group(group, &mut window, &mut scratch);
-        }
+    let work = |scratch: &mut DijkstraScratch| loop {
+        let g = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(group) = groups.get(g) else {
+            break;
+        };
+        // Exactly one worker claims group `g`, so this lock is
+        // uncontended and taken once per group.
+        let mut window = windows[g].lock().expect("batch output window poisoned");
+        answer_group(group, &mut window, scratch);
     };
     if workers <= 1 {
-        work();
+        with_query_scratch(work);
     } else {
         thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(work);
+                scope.spawn(move || work(&mut DijkstraScratch::new()));
             }
         });
     }
@@ -129,7 +128,8 @@ impl FaultOracle {
     ///
     /// Queries are grouped by fault set and the groups are served by a pool
     /// of `options.workers` threads (machine parallelism when 0). Each worker
-    /// owns a [`DijkstraScratch`], holds the group's most recent tree to skip
+    /// owns a [`DijkstraScratch`] (a batch served on the calling thread uses
+    /// that thread's recycled one), holds the group's most recent tree to skip
     /// repeat cache probes, and writes into its group's disjoint output
     /// window; the tree cache is shared through the oracle.
     #[must_use]

@@ -221,6 +221,17 @@ std::thread_local! {
         std::cell::RefCell::new(DijkstraScratch::new());
 }
 
+/// Runs `f` with this thread's recycled [`DijkstraScratch`]. No lock, no
+/// allocation; the buffers persist for the thread's lifetime. Must not be
+/// nested (the query paths and the calling-thread batch lane never do).
+pub(crate) fn with_query_scratch<T>(f: impl FnOnce(&mut DijkstraScratch) -> T) -> T {
+    QUERY_SCRATCH.with(|scratch| {
+        f(&mut scratch
+            .try_borrow_mut()
+            .expect("query scratch must not be borrowed re-entrantly"))
+    })
+}
+
 impl FaultOracle {
     /// Builds the spanner with the paper's polynomial-time modified greedy
     /// and wraps it in an oracle.
@@ -335,7 +346,7 @@ impl FaultOracle {
     /// `Arc` handle, and no `Query`/`FaultSet` is cloned.
     #[must_use]
     pub fn distance(&self, u: VertexId, v: VertexId, faults: &FaultSet) -> Option<f64> {
-        self.with_scratch(|scratch| {
+        with_query_scratch(|scratch| {
             let key = self.key_ref(faults);
             self.answer_with_key(u, v, QueryKind::Distance, &key, scratch)
         })
@@ -350,7 +361,7 @@ impl FaultOracle {
         v: VertexId,
         faults: &FaultSet,
     ) -> Option<(f64, Vec<VertexId>)> {
-        let answer = self.with_scratch(|scratch| {
+        let answer = with_query_scratch(|scratch| {
             let key = self.key_ref(faults);
             self.answer_with_key(u, v, QueryKind::Path, &key, scratch)
         });
@@ -362,18 +373,7 @@ impl FaultOracle {
     /// buffers and parallelizes across fault-set groups.
     #[must_use]
     pub fn answer(&self, query: &Query) -> Answer {
-        self.with_scratch(|scratch| self.answer_with_scratch(query, scratch))
-    }
-
-    /// Runs `f` with this thread's recycled [`DijkstraScratch`]. No lock, no
-    /// allocation; the buffers persist for the thread's lifetime. Must not
-    /// be nested (the query paths never do).
-    pub(crate) fn with_scratch<T>(&self, f: impl FnOnce(&mut DijkstraScratch) -> T) -> T {
-        QUERY_SCRATCH.with(|scratch| {
-            f(&mut scratch
-                .try_borrow_mut()
-                .expect("query scratch must not be borrowed re-entrantly"))
-        })
+        with_query_scratch(|scratch| self.answer_with_scratch(query, scratch))
     }
 
     /// The shared single-query path: tree lookup / compute, then read.

@@ -64,7 +64,7 @@ use rand::SeedableRng;
 use crate::boundary::BoundaryIndex;
 use crate::hierarchy::ShardGrouping;
 use crate::metrics::MetricsSnapshot;
-use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
+use crate::oracle::{with_query_scratch, FaultOracle, OracleOptions, TreeStore};
 use crate::query::{Answer, Query, QueryKind};
 
 /// How a [`ShardPlan`] is derived from exponential-shift clusterings.
@@ -1014,8 +1014,7 @@ impl ShardedOracle {
     /// cloned on the query path.
     #[must_use]
     pub fn distance(&self, u: VertexId, v: VertexId, faults: &FaultSet) -> Option<f64> {
-        self.global
-            .with_scratch(|scratch| self.answer_parts(u, v, QueryKind::Distance, faults, scratch))
+        with_query_scratch(|scratch| self.answer_parts(u, v, QueryKind::Distance, faults, scratch))
             .distance
     }
 
@@ -1027,9 +1026,8 @@ impl ShardedOracle {
         v: VertexId,
         faults: &FaultSet,
     ) -> Option<(f64, Vec<VertexId>)> {
-        let answer = self
-            .global
-            .with_scratch(|scratch| self.answer_parts(u, v, QueryKind::Path, faults, scratch));
+        let answer =
+            with_query_scratch(|scratch| self.answer_parts(u, v, QueryKind::Path, faults, scratch));
         Some((answer.distance?, answer.path?))
     }
 
@@ -1037,8 +1035,7 @@ impl ShardedOracle {
     /// [`ShardedOracle::answer_batch`](crate::batch).
     #[must_use]
     pub fn answer(&self, query: &Query) -> Answer {
-        self.global
-            .with_scratch(|scratch| self.answer_with_scratch(query, scratch))
+        with_query_scratch(|scratch| self.answer_with_scratch(query, scratch))
     }
 
     /// The shared single-query path: route to a region, certify, fall back.

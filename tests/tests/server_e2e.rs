@@ -531,10 +531,11 @@ fn a_connection_opened_right_after_start_is_served() {
 
 /// Connection churn leaves nothing behind: after 2 000 sequential
 /// connect → one query → close cycles, the process's open file descriptors
-/// return to within a small constant of their count before the churn. Every
-/// client read has a timeout, so a server that stops serving fails the test
-/// instead of hanging it. The slack absorbs the other tests of this binary,
-/// which open and close their own sockets concurrently.
+/// and its live threads (`/proc/self/task`) return to within a small
+/// constant of their counts before the churn. Every client read has a
+/// timeout, so a server that stops serving fails the test instead of
+/// hanging it. The slack absorbs the other tests of this binary, which open
+/// and close their own sockets and threads concurrently.
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_churn_does_not_leak_file_descriptors() {
@@ -549,6 +550,11 @@ fn connection_churn_does_not_leak_file_descriptors() {
             .expect("procfs lists open fds")
             .count()
     };
+    let live_threads = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("procfs lists live threads")
+            .count()
+    };
 
     let service = OracleService::new(build_backend(7801), ServiceConfig::default());
     let server =
@@ -560,6 +566,7 @@ fn connection_churn_does_not_leak_file_descriptors() {
         faults: FaultSet::empty(FaultModel::Vertex),
     });
     let baseline = open_fds();
+    let baseline_threads = live_threads();
     for cycle in 0..CYCLES {
         let mut stream =
             TcpStream::connect(addr).unwrap_or_else(|e| panic!("cycle {cycle}: connect: {e}"));
@@ -578,16 +585,23 @@ fn connection_churn_does_not_leak_file_descriptors() {
         );
     }
 
-    // Each handler exits once its client has closed; allow them a moment.
+    // Each handler exits once its client has closed (releasing its socket
+    // and its thread); allow them a moment.
     let deadline = Instant::now() + Duration::from_secs(20);
-    let mut open = open_fds();
-    while open > baseline + SLACK && Instant::now() < deadline {
+    let (mut open, mut threads) = (open_fds(), live_threads());
+    while (open > baseline + SLACK || threads > baseline_threads + SLACK)
+        && Instant::now() < deadline
+    {
         thread::sleep(Duration::from_millis(20));
-        open = open_fds();
+        (open, threads) = (open_fds(), live_threads());
     }
     assert!(
         open <= baseline + SLACK,
         "{open} fds open after {CYCLES} connections, {baseline} before"
+    );
+    assert!(
+        threads <= baseline_threads + SLACK,
+        "{threads} threads alive after {CYCLES} connections, {baseline_threads} before"
     );
     let _ = server.shutdown();
 }

@@ -20,7 +20,7 @@ use ftspan::repair::{respan_candidates_with, RepairOptions, RepairScratch};
 use ftspan::{FaultSet, SpannerParams};
 use ftspan_graph::{generators, vid, EdgeId};
 use ftspan_oracle::{
-    ChurnConfig, FaultOracle, OracleOptions, ShardPlanOptions, ShardedOptions, ShardedOracle,
+    ChurnConfig, FaultOracle, OracleOptions, Query, ShardPlanOptions, ShardedOptions, ShardedOracle,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -315,4 +315,35 @@ fn warm_sharded_hits_allocate_at_most_the_fault_localization() {
     // The pairs really take the region path, not the global fallback.
     let split = oracle.metrics().snapshot();
     assert!(split.local + split.stitched > 10 * split.global_fallbacks);
+}
+
+#[test]
+fn inline_batch_misses_reuse_the_thread_scratch() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A one-query batch runs on the calling thread, which reuses that
+    // thread's recycled Dijkstra buffers. Once one batch has sized them, a
+    // cache miss allocates only what its answer and its cached tree need,
+    // so the count must not grow with the graph (a fresh scratch per batch
+    // regrows its distance, parent and queue buffers every time).
+    let mut counts = Vec::new();
+    for side in [10, 60] {
+        let oracle = FaultOracle::build(
+            generators::grid(side, side),
+            SpannerParams::vertex(2, 1),
+            OracleOptions::default(),
+        );
+        let n = side * side;
+        let miss = |victim: usize| {
+            let query = Query::distance(vid(0), vid(n - 1), FaultSet::vertices([vid(victim)]));
+            let answers = oracle.answer_batch(&[query]);
+            assert!(!answers[0].cache_hit, "a new fault set must miss");
+        };
+        miss(1);
+        counts.push(count_allocations(|| miss(2)));
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "a one-query batch miss allocated {} times on a 10 x 10 grid but {} on 60 x 60",
+        counts[0], counts[1]
+    );
 }
