@@ -16,9 +16,9 @@
 //!   rate).
 //!
 //! The harness is test infrastructure with production manners: it runs
-//! against the real service (inline or worker-pool), the real admission
-//! control, and the real churn loop — nothing is mocked, so a passed chaos
-//! run is evidence about the system that ships.
+//! against the real service (its one scheduler, at any worker count), the
+//! real admission control, and the real churn loop — nothing is mocked, so
+//! a passed chaos run is evidence about the system that ships.
 
 pub mod harness;
 pub mod waves;

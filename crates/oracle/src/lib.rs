@@ -36,7 +36,7 @@
 //!   (global for the single oracle, per-shard lanes for the sharded one,
 //!   with shed-or-queue handling of lanes mid-rebuild after a wave) and
 //!   per-fault-set **request coalescing**, waves included as FIFO barriers
-//!   ([`service::ServiceCommand::Wave`]).
+//!   ([`OracleService::submit_wave`]).
 //!
 //! ## Example
 //!
@@ -101,8 +101,8 @@ pub use oracle::{FaultOracle, OracleOptions};
 pub use query::{Answer, Query, QueryKind};
 pub use replication::{JournalEntry, Replica, ReplicationError, WaveJournal};
 pub use service::{
-    EpochHandle, OracleService, PumpOutcome, RebuildPolicy, ServiceCommand, ServiceConfig,
-    ServiceJournal, TicketId, TicketState,
+    EpochHandle, OracleService, PumpOutcome, RebuildPolicy, ServiceConfig, ServiceJournal,
+    TicketId, TicketState,
 };
 pub use shard::{
     ShardPlan, ShardPlanOptions, ShardedMetrics, ShardedMetricsSnapshot, ShardedOptions,

@@ -3,28 +3,32 @@
 //! epoch-published core.
 //!
 //! The backends answer batches; a *service* has to decide what reaches
-//! them, and on how many threads. This module provides:
+//! them, and on which threads. This module provides:
 //!
 //! * **A non-blocking request loop.** [`OracleService::submit`] never
 //!   blocks on the backend: it coalesces the request into a pending group
 //!   (a u64 fault-set fingerprint plus an exact check), charges a ticket
-//!   slot from a free list, and returns a [`TicketId`]. Rounds — admit up
-//!   to the configured bounds, one backend batch, complete tickets — are
-//!   driven either inline ([`OracleService::pump`] /
-//!   [`OracleService::drain`] with `workers == 0`, the deterministic
-//!   legacy mode) or by a pool of reader worker threads
-//!   ([`ServiceConfig::workers`]).
+//!   slot from a free list, and returns a [`TicketId`].
+//! * **One scheduler.** Every round and every wave barrier runs through one
+//!   *step*: admit a round up to the configured bounds and answer it as
+//!   one backend batch, or apply the wave at the head of the queue. The
+//!   step runs on the threads that wait for it — [`OracleService::wait`],
+//!   [`OracleService::drain`] and [`OracleService::pump`] each step the
+//!   queue themselves — plus the [`ServiceConfig::workers`] background
+//!   threads, which run the same step. A waiter whose ticket is admitted
+//!   by another thread's round sleeps until that round completes.
 //! * **Epoch publication.** The backend lives behind a published
 //!   `Mutex<Arc<O>>` slot. A round briefly locks the slot, clones the
-//!   `Arc`, and answers lock-free against that immutable epoch — readers
-//!   never block each other, and [`Snapshot::capture`] can run against a
-//!   clone off the query path. A wave is an **epoch barrier**: the single
-//!   writer waits until every in-flight round has completed, takes the
+//!   `Arc`, and answers with the state lock released, against that
+//!   immutable epoch — concurrent waiters run concurrent rounds, and
+//!   [`Snapshot::capture`] can run against a clone off the query path. A
+//!   wave is an **epoch barrier**: the step that pops it waits until every
+//!   in-flight round has completed, drops its own epoch handle, takes the
 //!   slot exclusively (parking on a condvar that the last outstanding
 //!   [`EpochHandle`] signals on drop), runs [`apply_wave`] in place, and
-//!   publishes the repaired epoch by releasing the slot. Every request submitted before the wave is
-//!   answered pre-wave, everything after against the repaired spanner —
-//!   the same FIFO-barrier contract as the old single-threaded loop.
+//!   publishes the repaired epoch by releasing the slot. Every request
+//!   submitted before the wave is answered pre-wave, everything after
+//!   against the repaired spanner.
 //! * **Bounded admission.** [`ServiceConfig::max_in_flight`] caps how many
 //!   distinct backend queries one round admits, and
 //!   [`ServiceConfig::lane_in_flight`] caps them **per admission lane**
@@ -39,9 +43,9 @@
 //!   is cleared at every wave submission, so a duplicate can never attach
 //!   to a group on the other side of a barrier.
 //!
-//! With `workers == 0` rounds run synchronously on the calling thread and
-//! reproduce the old loop's deterministic round/cooldown accounting
-//! exactly. With workers, rounds are autonomous: counts like
+//! A single thread driving a service with no background workers steps
+//! rounds in a deterministic order, so round and cooldown counts repeat
+//! exactly. With several driving threads, counts like
 //! [`ServiceMetrics::rounds`] become scheduling-dependent, but the
 //! `service_vs_direct` differential suite pins that every answered ticket
 //! stays **bit-identical** to a direct [`answer_batch`] at worker counts
@@ -53,12 +57,11 @@
 //! [`apply_wave`]: SpannerOracle::apply_wave
 //! [`Snapshot::capture`]: crate::Snapshot::capture
 //! [`ServiceMetrics::rounds`]: crate::ServiceMetrics
-//! [`FaultOracle`]: crate::FaultOracle
 //! [`ShardedOracle`]: crate::ShardedOracle
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -88,8 +91,8 @@ pub enum RebuildPolicy {
 /// Builder-style configuration of an [`OracleService`].
 ///
 /// `ServiceConfig::default()` is a pass-through front-end: unbounded
-/// admission, coalescing on, no rebuild cooldown, no worker threads
-/// (rounds run inline on the calling thread). Every knob has a consuming
+/// admission, coalescing on, no rebuild cooldown, no background threads
+/// (rounds run on the threads that wait for them). Every knob has a consuming
 /// `with_*` setter:
 ///
 /// ```
@@ -132,14 +135,12 @@ pub struct ServiceConfig {
     /// join the existing group without spending a queue slot, so a
     /// flash crowd of one hot pair never sheds past its first arrival.
     pub max_pending: usize,
-    /// Churn configuration used when a [`ServiceCommand::Wave`] is applied.
+    /// Churn configuration used when a submitted wave is applied.
     pub churn: ChurnConfig,
-    /// Reader worker threads answering rounds concurrently against the
-    /// published epoch. `0` (the default) is **inline mode**: no threads
-    /// are spawned and [`OracleService::pump`] / [`OracleService::drain`]
-    /// execute rounds synchronously with the old loop's deterministic
-    /// semantics. With workers, `drain` merely waits for quiescence and
-    /// `pump` is a no-op; use [`OracleService::wait`] per ticket.
+    /// Background threads that run the same step as the waiting callers,
+    /// spawned once by [`OracleService::new`]. `0` (the default) spawns
+    /// none; callers of [`OracleService::wait`], [`OracleService::drain`]
+    /// and [`OracleService::pump`] step the queue themselves either way.
     pub workers: usize,
     /// Journal every committed wave into a [`ServiceJournal`] (default
     /// `false`). Equivalent to calling [`OracleService::enable_journal`]
@@ -214,7 +215,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the reader worker-thread count (`0` = inline mode).
+    /// Sets the background-thread count (see [`ServiceConfig::workers`]).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -228,16 +229,6 @@ impl ServiceConfig {
         self.journal = true;
         self
     }
-}
-
-/// One command in the service's FIFO queue.
-#[derive(Clone, Debug)]
-pub enum ServiceCommand {
-    /// Answer one query.
-    Query(Query),
-    /// Apply a permanent fault wave. Acts as a barrier: processed only once
-    /// every command submitted before it has been resolved.
-    Wave(FaultSet),
 }
 
 /// Handle to one submitted command; redeem it with
@@ -280,8 +271,8 @@ pub enum TicketState {
     Waved(WaveReport),
 }
 
-/// What one [`OracleService::pump`] round (or accumulated
-/// [`OracleService::drain`]) did.
+/// What one [`OracleService::pump`] step did, or what
+/// [`OracleService::drain`] counted since the last report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PumpOutcome {
     /// Tickets completed with an answer.
@@ -533,7 +524,12 @@ struct Core<O: SpannerOracle> {
     /// slot (never the reverse) so the two can't deadlock.
     journal: Mutex<Option<Arc<ServiceJournal>>>,
     shutdown: AtomicBool,
-    workers: AtomicUsize,
+}
+
+impl<O: SpannerOracle> Core<O> {
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, CoreState> {
+        self.state.lock().expect("service state poisoned")
+    }
 }
 
 /// The live, observable [`WaveJournal`] of a serving primary.
@@ -720,27 +716,6 @@ impl<O: SpannerOracle> fmt::Debug for EpochHandle<O> {
     }
 }
 
-/// What one attempted round did (internal).
-enum RoundResult {
-    /// Queue empty — nothing to do.
-    Idle,
-    /// A barrier is pending (wave at head with rounds in flight, or a wave
-    /// writer mid-apply); the caller should wait for a completion signal.
-    Blocked,
-    /// A round ran: sheds, deferrals, and/or one backend batch.
-    Progress(PumpOutcome),
-    /// The caller must apply a wave barrier: it popped the wave and set
-    /// `wave_in_progress`; it must drop every epoch handle it holds and
-    /// call [`apply_wave_barrier`]. `shed` carries tickets shed by the
-    /// same scan (old-loop semantics: sheds resolve, so they don't hold
-    /// the barrier).
-    Wave {
-        slot: usize,
-        wave: FaultSet,
-        shed: usize,
-    },
-}
-
 struct ScanResult {
     /// Admitted groups: slab id plus the query moved out of the slab.
     admitted: Vec<(usize, Query)>,
@@ -753,30 +728,28 @@ struct ScanResult {
 /// The serving front-end over any [`SpannerOracle`] backend.
 ///
 /// See the [module docs](crate::service) for the architecture (epoch
-/// publication, worker pool, admission, coalescing, wave barriers) and the
-/// crate docs for an end-to-end example. All methods take `&self`; the
-/// service is `Sync` and meant to be shared across submitting threads.
+/// publication, the one scheduler, admission, coalescing, wave barriers)
+/// and the crate docs for an end-to-end example. All methods take `&self`;
+/// the service is `Sync` and meant to be shared across submitting threads.
 pub struct OracleService<O: SpannerOracle> {
     core: Arc<Core<O>>,
-    worker_handles: Mutex<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl<O: SpannerOracle> fmt::Debug for OracleService<O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OracleService")
             .field("config", &self.core.config)
-            .field("workers", &self.core.workers.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
 
 impl<O: SpannerOracle + 'static> OracleService<O> {
     /// Wraps a backend in a service front-end, spawning
-    /// [`ServiceConfig::workers`] reader threads (none by default).
+    /// [`ServiceConfig::workers`] background threads (none by default).
     #[must_use]
     pub fn new(oracle: O, config: ServiceConfig) -> Self {
         let lanes = oracle.admission_lanes().max(1);
-        let workers = config.workers;
         let core = Arc::new(Core {
             config,
             epoch: Mutex::new(Arc::new(oracle)),
@@ -800,16 +773,24 @@ impl<O: SpannerOracle + 'static> OracleService<O> {
             cv: Condvar::new(),
             journal: Mutex::new(None),
             shutdown: AtomicBool::new(false),
-            workers: AtomicUsize::new(0),
         });
-        let service = Self {
-            core,
-            worker_handles: Mutex::new(Vec::new()),
-        };
+        let workers = (0..core.config.workers)
+            .map(|_| {
+                let core = Arc::clone(&core);
+                thread::Builder::new()
+                    .name("ftspan-service".into())
+                    .spawn(move || {
+                        drive(&core, |_| {
+                            core.shutdown.load(Ordering::SeqCst).then_some(())
+                        })
+                    })
+                    .expect("spawn service worker thread")
+            })
+            .collect();
+        let service = Self { core, workers };
         if service.core.config.journal {
             let _ = service.enable_journal();
         }
-        service.spawn_workers(workers);
         service
     }
 
@@ -840,31 +821,6 @@ impl<O: SpannerOracle + 'static> OracleService<O> {
             .lock()
             .expect("journal slot poisoned")
             .clone()
-    }
-
-    /// Spawns `extra` additional reader worker threads. The service
-    /// switches from inline to worker mode the moment the count becomes
-    /// non-zero (see [`ServiceConfig::workers`]).
-    pub fn spawn_workers(&self, extra: usize) {
-        if extra == 0 {
-            return;
-        }
-        let mut handles = self.worker_handles.lock().expect("service worker registry");
-        for _ in 0..extra {
-            let core = Arc::clone(&self.core);
-            let handle = thread::Builder::new()
-                .name("ftspan-service".into())
-                .spawn(move || worker_loop(&core))
-                .expect("spawn service worker thread");
-            handles.push(handle);
-        }
-        self.core.workers.fetch_add(extra, Ordering::SeqCst);
-    }
-
-    /// The number of reader worker threads serving rounds (`0` = inline).
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.core.workers.load(Ordering::SeqCst)
     }
 
     /// A handle to the currently published epoch of the backend.
@@ -1106,76 +1062,29 @@ impl<O: SpannerOracle + 'static> OracleService<O> {
 
     /// Blocks until the ticket resolves, returns its final state, and
     /// frees the slot for reuse (the ticket is *consumed*: redeeming it
-    /// again panics like a recycled ticket). In worker mode this sleeps
-    /// until a worker completes the round; in inline mode the calling
-    /// thread helps run rounds, so concurrent connection handlers can
-    /// drive a worker-less service cooperatively.
+    /// again panics like a recycled ticket). The calling thread steps the
+    /// queue while a round or barrier can start, and sleeps while its
+    /// ticket sits in another thread's round or behind a pending barrier.
     pub fn wait(&self, ticket: TicketId) -> TicketState {
-        let mut st = self.lock_state();
-        loop {
-            if !matches!(st.slot_of(ticket).state, TicketState::Pending) {
-                let state =
-                    std::mem::replace(&mut st.slots[ticket.slot].state, TicketState::Pending);
-                st.free_slot(ticket.slot);
-                return state;
+        drive(&self.core, |st| {
+            if matches!(st.slot_of(ticket).state, TicketState::Pending) {
+                return None;
             }
-            if self.core.workers.load(Ordering::SeqCst) > 0 {
-                st = self.core.cv.wait(st).expect("service state poisoned");
-                continue;
-            }
-            drop(st);
-            match self.help_once() {
-                RoundResult::Idle | RoundResult::Blocked => {
-                    let guard = self.lock_state();
-                    if matches!(guard.slot_of(ticket).state, TicketState::Pending)
-                        && (guard.in_flight > 0 || guard.wave_in_progress)
-                    {
-                        // Another helper owns the in-flight round; sleep
-                        // until its completion signal.
-                        st = self.core.cv.wait(guard).expect("service state poisoned");
-                    } else {
-                        st = guard;
-                    }
-                }
-                _ => st = self.lock_state(),
-            }
-        }
+            let state = std::mem::replace(&mut st.slots[ticket.slot].state, TicketState::Pending);
+            st.free_slot(ticket.slot);
+            Some(state)
+        })
     }
 
-    /// One inline round (or wave barrier), without outcome reporting.
-    fn help_once(&self) -> RoundResult {
-        let oracle = self.oracle();
-        let result = run_round(&self.core, &oracle);
-        if let RoundResult::Wave { slot, wave, shed } = result {
-            drop(oracle);
-            apply_wave_barrier(&self.core, slot, wave);
-            return RoundResult::Progress(PumpOutcome {
-                answered: 0,
-                coalesced: 0,
-                shed,
-                waves: 1,
-            });
-        }
-        result
-    }
-
-    /// One round of the request loop, executed inline on the calling
-    /// thread: admit queued groups up to the configured bounds (shedding
-    /// or parking those on cooling lanes), hand the backend **one** batch
-    /// of distinct queries, and complete the tickets — or, when a wave
-    /// barrier has reached the head of the queue, apply that wave instead.
-    ///
-    /// In worker mode (`workers > 0`) the pool makes progress
-    /// autonomously; `pump` then does nothing and returns an empty
-    /// outcome. Use [`OracleService::wait`] or [`OracleService::drain`].
+    /// Runs one step on the calling thread: admit queued groups up to the
+    /// configured bounds (shedding or parking those on cooling lanes),
+    /// hand the backend **one** batch of distinct queries, and complete
+    /// the tickets — or, when a wave barrier has reached the head of the
+    /// queue, apply that wave instead. Returns what the step did; an empty
+    /// outcome when nothing could start (an empty queue, or a barrier
+    /// waiting on rounds in flight on other threads).
     pub fn pump(&self) -> PumpOutcome {
-        if self.core.workers.load(Ordering::SeqCst) > 0 {
-            return PumpOutcome::default();
-        }
-        let outcome = match self.help_once() {
-            RoundResult::Progress(outcome) => outcome,
-            _ => PumpOutcome::default(),
-        };
+        let outcome = step(&self.core).unwrap_or_default();
         let mut st = self.lock_state();
         st.reported.answered += outcome.answered as u64;
         st.reported.coalesced += outcome.coalesced as u64;
@@ -1184,45 +1093,25 @@ impl<O: SpannerOracle + 'static> OracleService<O> {
         outcome
     }
 
-    /// Blocks until every submitted command has resolved and returns what
-    /// was completed since the last `pump`/`drain` report. Inline mode
-    /// pumps rounds on the calling thread (terminating even under
-    /// [`RebuildPolicy::Queue`]: cooldowns decrement every non-wave
-    /// round); worker mode sleeps until the pool quiesces.
+    /// Blocks until every submitted command has resolved, stepping the
+    /// queue on the calling thread meanwhile, and returns what the service
+    /// counted since the last `pump`/`drain` report — arrival sheds
+    /// included. Terminates under [`RebuildPolicy::Queue`] too: cooldowns
+    /// decrement every non-wave round.
     pub fn drain(&self) -> PumpOutcome {
-        if self.core.workers.load(Ordering::SeqCst) == 0 {
-            let mut total = PumpOutcome::default();
-            loop {
-                let cooling = {
-                    let st = self.lock_state();
-                    if st.queue.is_empty() && st.in_flight == 0 && !st.wave_in_progress {
-                        return total;
-                    }
-                    st.lane_cooldown.iter().any(|&c| c > 0)
-                };
-                let round = self.pump();
-                debug_assert!(
-                    round.made_progress() || cooling,
-                    "a round with no cooling lanes must complete at least one ticket"
-                );
-                total.absorb(round);
+        drive(&self.core, |st| {
+            if !(st.queue.is_empty() && st.in_flight == 0 && !st.wave_in_progress) {
+                return None;
             }
-        }
-        let mut st = self.lock_state();
-        while !(st.queue.is_empty() && st.in_flight == 0 && !st.wave_in_progress) {
-            st = self.core.cv.wait(st).expect("service state poisoned");
-        }
-        let delta = PumpOutcome {
-            answered: (st.counters.answered - st.reported.answered) as usize,
-            coalesced: (st.counters.coalesced - st.reported.coalesced) as usize,
-            shed: (st.counters.shed - st.reported.shed) as usize,
-            waves: (st.counters.waves - st.reported.waves) as usize,
-        };
-        st.reported.answered = st.counters.answered;
-        st.reported.coalesced = st.counters.coalesced;
-        st.reported.shed = st.counters.shed;
-        st.reported.waves = st.counters.waves;
-        delta
+            let delta = PumpOutcome {
+                answered: (st.counters.answered - st.reported.answered) as usize,
+                coalesced: (st.counters.coalesced - st.reported.coalesced) as usize,
+                shed: (st.counters.shed - st.reported.shed) as usize,
+                waves: (st.counters.waves - st.reported.waves) as usize,
+            };
+            st.reported = st.counters;
+            Some(delta)
+        })
     }
 
     /// The unified metrics view: the backend's
@@ -1283,7 +1172,7 @@ impl<O: SpannerOracle + 'static> OracleService<O> {
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, CoreState> {
-        self.core.state.lock().expect("service state poisoned")
+        self.core.lock_state()
     }
 }
 
@@ -1294,15 +1183,13 @@ impl<O: SpannerOracle> Drop for OracleService<O> {
             self.core.shutdown.store(true, Ordering::SeqCst);
             self.core.cv.notify_all();
         }
-        if let Ok(mut handles) = self.worker_handles.lock() {
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
         }
     }
 }
 
-/// Whether a round could start right now (worker wait predicate).
+/// Whether a step could start right now.
 fn actionable(st: &CoreState) -> bool {
     if st.wave_in_progress {
         return false;
@@ -1314,28 +1201,26 @@ fn actionable(st: &CoreState) -> bool {
     }
 }
 
-fn worker_loop<O: SpannerOracle>(core: &Core<O>) {
+/// The one driver loop, shared by [`OracleService::wait`],
+/// [`OracleService::drain`] and the background threads: until `done`
+/// yields a result, step while a step could start and sleep on the state
+/// condvar otherwise. Every state change that makes a step possible or
+/// resolves a ticket notifies that condvar, so a sleeper cannot miss one.
+fn drive<O: SpannerOracle, R>(
+    core: &Core<O>,
+    mut done: impl FnMut(&mut CoreState) -> Option<R>,
+) -> R {
+    let mut st = core.lock_state();
     loop {
-        {
-            let mut st = core.state.lock().expect("service state poisoned");
-            loop {
-                if core.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if actionable(&st) {
-                    break;
-                }
-                st = core.cv.wait(st).expect("service state poisoned");
-            }
+        if let Some(result) = done(&mut st) {
+            return result;
         }
-        // Clone the published epoch with no state lock held; blocks only
-        // while a wave writer holds the slot (publication is the release).
-        let oracle = EpochHandle::acquire(core);
-        if let RoundResult::Wave { slot, wave, .. } = run_round(core, &oracle) {
-            // The barrier waits until every epoch handle drops — including
-            // ours, so drop it before applying.
-            drop(oracle);
-            apply_wave_barrier(core, slot, wave);
+        if actionable(&st) {
+            drop(st);
+            step(core);
+            st = core.lock_state();
+        } else {
+            st = core.cv.wait(st).expect("service state poisoned");
         }
     }
 }
@@ -1446,19 +1331,24 @@ fn scan_round<O: SpannerOracle>(
     result
 }
 
-/// One round against a cloned epoch: scan/admit under the state lock,
-/// answer the batch with the lock released, fan answers out to every
-/// ticket. Returns [`RoundResult::Wave`] instead of applying barriers —
-/// the caller must drop its epoch handle first.
-fn run_round<O: SpannerOracle>(core: &Core<O>, oracle: &O) -> RoundResult {
-    let mut st = core.state.lock().expect("service state poisoned");
-    if st.wave_in_progress {
-        return RoundResult::Blocked;
+/// The scheduler's one step, on whichever thread calls it: pin the
+/// published epoch, then scan/admit under the state lock and answer the
+/// batch with the lock released, fanning answers out to every ticket — or,
+/// when the scan pops a wave barrier, drop the pin and apply the wave.
+/// `None` when nothing could start (empty queue, or a barrier pending).
+fn step<O: SpannerOracle>(core: &Core<O>) -> Option<PumpOutcome> {
+    // Pinned before the scan, so no wave can publish between the scan and
+    // the answers: everything this round admits is answered at this epoch.
+    let oracle = EpochHandle::acquire(core);
+    let mut st = core.lock_state();
+    if st.wave_in_progress || st.queue.is_empty() {
+        return None;
     }
-    if st.queue.is_empty() {
-        return RoundResult::Idle;
-    }
-    let scan = scan_round(&core.config, &mut st, oracle);
+    let scan = scan_round(&core.config, &mut st, &*oracle);
+    let outcome = PumpOutcome {
+        shed: scan.shed,
+        ..PumpOutcome::default()
+    };
 
     if let Some((slot, wave)) = scan.wave {
         st.counters.rounds += 1;
@@ -1467,16 +1357,18 @@ fn run_round<O: SpannerOracle>(core: &Core<O>, oracle: &O) -> RoundResult {
         if scan.shed > 0 {
             core.cv.notify_all();
         }
-        return RoundResult::Wave {
-            slot,
-            wave,
-            shed: scan.shed,
-        };
+        // The barrier waits out every epoch handle, this one included.
+        drop(oracle);
+        apply_wave_barrier(core, slot, wave);
+        return Some(PumpOutcome {
+            waves: 1,
+            ..outcome
+        });
     }
 
     if scan.admitted.is_empty() {
         if scan.blocked && scan.shed == 0 {
-            return RoundResult::Blocked;
+            return None;
         }
         // A shed-only or deferred-only round still counts: cooldowns
         // measure rounds, and decrementing here is what guarantees
@@ -1487,12 +1379,7 @@ fn run_round<O: SpannerOracle>(core: &Core<O>, oracle: &O) -> RoundResult {
         if scan.shed > 0 {
             core.cv.notify_all();
         }
-        return RoundResult::Progress(PumpOutcome {
-            answered: 0,
-            coalesced: 0,
-            shed: scan.shed,
-            waves: 0,
-        });
+        return Some(outcome);
     }
 
     st.counters.rounds += 1;
@@ -1512,7 +1399,7 @@ fn run_round<O: SpannerOracle>(core: &Core<O>, oracle: &O) -> RoundResult {
 
     // Fan out: every ticket of a group receives the group's answer (the
     // last by move, the rest by clone).
-    let mut st = core.state.lock().expect("service state poisoned");
+    let mut st = core.lock_state();
     let mut answered = 0usize;
     let mut coalesced = 0usize;
     for (id, answer) in group_ids.into_iter().zip(answers) {
@@ -1536,19 +1423,18 @@ fn run_round<O: SpannerOracle>(core: &Core<O>, oracle: &O) -> RoundResult {
     st.tick_cooldowns();
     drop(st);
     core.cv.notify_all();
-    RoundResult::Progress(PumpOutcome {
+    Some(PumpOutcome {
         answered,
         coalesced,
-        shed: scan.shed,
-        waves: 0,
+        ..outcome
     })
 }
 
 /// The wave writer: takes the epoch slot exclusively (parking until every
 /// outstanding epoch handle drops), applies the wave in place, and
 /// publishes the repaired epoch by releasing the slot. The caller must
-/// have popped the wave and set `wave_in_progress` (via
-/// [`RoundResult::Wave`]) and must hold **no** epoch handle.
+/// have popped the wave and set `wave_in_progress`, and must hold **no**
+/// epoch handle.
 fn apply_wave_barrier<O: SpannerOracle>(core: &Core<O>, slot: usize, wave: FaultSet) {
     let started = Instant::now();
     let mut guard = core.epoch.lock().expect("epoch slot poisoned");
@@ -1590,15 +1476,15 @@ fn apply_wave_barrier<O: SpannerOracle>(core: &Core<O>, slot: usize, wave: Fault
         journal.notify();
     }
 
-    let mut st = core.state.lock().expect("service state poisoned");
+    let mut st = core.lock_state();
     for &lane in &report.rebuilt_lanes {
         st.lane_cooldown[lane] = core.config.rebuild_cooldown;
     }
     st.slots[slot].state = TicketState::Waved(report);
     st.counters.waves += 1;
     // Recovery time as the operator experiences it: epoch-handle drain,
-    // in-place repair, and publication, measured at the barrier itself so
-    // inline and worker-pool modes report the same quantity.
+    // in-place repair, and publication, measured at the barrier itself
+    // whichever thread applies it.
     let recovery = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     st.counters.wave_recovery_micros += recovery;
     st.counters.last_wave_recovery_micros = recovery;
@@ -1957,7 +1843,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Concurrent (worker-mode) coverage.
+    // Concurrent coverage: background threads and several waiters.
     // ------------------------------------------------------------------
 
     #[test]
@@ -1966,7 +1852,6 @@ mod tests {
             let mut direct = backend(21);
             let service =
                 OracleService::new(backend(21), ServiceConfig::default().with_workers(workers));
-            assert_eq!(service.worker_count(), workers);
             let pre_batch = queries(80, 30, 22);
             let post_batch = queries(80, 30, 23);
             let wave = FaultSet::vertices([vid(5), vid(17)]);
@@ -2052,12 +1937,22 @@ mod tests {
     }
 
     #[test]
-    fn pump_is_a_noop_in_worker_mode() {
-        let service = OracleService::new(backend(28), ServiceConfig::default().with_workers(1));
-        let faults = FaultSet::empty(FaultModel::Vertex);
-        let ticket = service.submit(Query::distance(vid(0), vid(1), faults));
-        assert_eq!(service.pump(), PumpOutcome::default());
-        assert!(matches!(service.wait(ticket), TicketState::Answered(_)));
+    fn drain_reports_arrival_sheds_at_any_worker_count() {
+        for workers in [0usize, 2] {
+            let config = ServiceConfig::default()
+                .with_max_pending(1)
+                .with_workers(workers);
+            let service = OracleService::new(backend(28), config);
+            let faults = FaultSet::empty(FaultModel::Vertex);
+            let tickets = service.submit_batch([
+                Query::distance(vid(0), vid(1), faults.clone()),
+                Query::distance(vid(0), vid(2), faults),
+            ]);
+            assert!(matches!(service.state(tickets[1]), TicketState::Shed));
+            let outcome = service.drain();
+            assert_eq!(outcome.answered, 1, "workers {workers}");
+            assert_eq!(outcome.shed, 1, "workers {workers}: the arrival shed");
+        }
     }
 
     #[test]
@@ -2071,34 +1966,38 @@ mod tests {
         assert_eq!(oracle.epoch(), 1);
     }
 
+    /// At 0 workers the submitters drive every round for each other — the
+    /// shape the server runs, one submitter per connection.
     #[test]
     fn concurrent_submitters_share_one_service() {
-        let service = Arc::new(OracleService::new(
-            backend(30),
-            ServiceConfig::default().with_workers(2),
-        ));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let service = Arc::clone(&service);
-            handles.push(thread::spawn(move || {
-                let batch = queries(30, 30, 40 + t);
-                let tickets: Vec<TicketId> =
-                    batch.iter().cloned().map(|q| service.submit(q)).collect();
-                for (ticket, query) in tickets.into_iter().zip(batch) {
-                    match service.wait(ticket) {
-                        TicketState::Answered(answer) => {
-                            let direct = service.oracle().answer(&query);
-                            assert_eq!(answer.distance(), direct.distance());
+        for workers in [0usize, 2] {
+            let service = Arc::new(OracleService::new(
+                backend(30),
+                ServiceConfig::default().with_workers(workers),
+            ));
+            let mut handles = Vec::new();
+            for t in 0..4u64 {
+                let service = Arc::clone(&service);
+                handles.push(thread::spawn(move || {
+                    let batch = queries(30, 30, 40 + t);
+                    let tickets: Vec<TicketId> =
+                        batch.iter().cloned().map(|q| service.submit(q)).collect();
+                    for (ticket, query) in tickets.into_iter().zip(batch) {
+                        match service.wait(ticket) {
+                            TicketState::Answered(answer) => {
+                                let direct = service.oracle().answer(&query);
+                                assert_eq!(answer.distance(), direct.distance());
+                            }
+                            other => panic!("unexpected ticket state {other:?}"),
                         }
-                        other => panic!("unexpected ticket state {other:?}"),
                     }
-                }
-            }));
+                }));
+            }
+            for handle in handles {
+                handle.join().expect("submitter thread");
+            }
+            assert_eq!(service.metrics().answered, 120, "workers {workers}");
         }
-        for handle in handles {
-            handle.join().expect("submitter thread");
-        }
-        assert_eq!(service.metrics().answered, 120);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! front-end behind a TCP socket, using nothing beyond `std`: a
 //! checksummed, length-prefixed binary protocol (`u32` little-endian frame
 //! length, `u64` FNV-1a body checksum, then the frame body — see
-//! [`protocol`]), a nonblocking accept loop, and one handler thread per
+//! [`protocol`]), a blocking accept loop, and one handler thread per
 //! connection that submits straight into the shared concurrent
-//! `OracleService` core and blocks on its tickets. The service's reader
-//! workers answer rounds in parallel against the epoch-published backend,
-//! so cross-connection duplicate queries coalesce in the shared admission
-//! queue just like same-batch duplicates do — with no single-threaded
-//! service loop in the middle.
+//! `OracleService` core and waits on its tickets. Waiting handlers run the
+//! service's rounds themselves, concurrently against the epoch-published
+//! backend, so cross-connection duplicate queries coalesce in the shared
+//! admission queue just like same-batch duplicates do — with no
+//! single-threaded service loop and no worker pool in the middle.
 //!
 //! ## Request set
 //!

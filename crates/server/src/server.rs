@@ -8,14 +8,14 @@
 //! connection gets a **handler thread** that reads protocol frames,
 //! applies the per-client token bucket, submits work straight into the
 //! service ([`OracleService::submit_batch`] keeps a batch contiguous in
-//! the admission queue), and blocks on [`OracleService::wait`] for each
-//! ticket. There is no intermediate job channel and no dedicated service
-//! thread: the service's own reader workers answer rounds in parallel
-//! against the published epoch, and concurrent clients coalesce against
-//! each other in the shared admission queue exactly like one big batch
-//! would. If the service was built without workers,
-//! [`Server::start`] spawns a small pool so handlers never serialize on
-//! inline pumping.
+//! the admission queue), and calls [`OracleService::wait`] for each
+//! ticket. There is no job channel and no server-side worker pool: `wait`
+//! runs the service's rounds on the handler thread itself, so a handler
+//! answers its own chunk — and whatever other connections queued beside
+//! it, which is how concurrent clients coalesce against each other in the
+//! shared admission queue exactly like one big batch would. A round
+//! releases the service's state lock while it answers, so handlers run
+//! rounds concurrently against the published epoch.
 //!
 //! Telemetry reads never enter the query queue: `METRICS` renders from
 //! the shared metric counters and `SNAPSHOT` captures against the
@@ -144,14 +144,6 @@ fn request_cost(request: &Request, config: &ServerConfig) -> f64 {
     raw.max(1.0)
 }
 
-/// How many service workers [`Server::start`] spawns when the supplied
-/// service has none of its own.
-fn default_worker_pool() -> usize {
-    thread::available_parallelism()
-        .map_or(2, usize::from)
-        .min(4)
-}
-
 /// The most recent background snapshot, shared between the timer thread
 /// and [`Server::latest_snapshot`].
 #[derive(Debug, Default)]
@@ -254,8 +246,8 @@ where
     /// the given service as a **primary** (waves accepted, wave journal
     /// enabled so followers can subscribe). The service is shared with
     /// every connection handler and comes back out of [`Server::shutdown`].
-    /// If it has no worker threads yet, a small pool is spawned so handlers
-    /// block on [`OracleService::wait`] instead of pumping rounds inline.
+    /// Handlers run the service's rounds themselves in
+    /// [`OracleService::wait`]; the server adds no threads to the service.
     ///
     /// # Errors
     ///
@@ -282,9 +274,6 @@ where
         let shutdown = Arc::new(AtomicBool::new(false));
         let conns = Connections::default();
         let handlers = Handlers::default();
-        if service.worker_count() == 0 {
-            service.spawn_workers(default_worker_pool());
-        }
         // Every server journals its waves: a primary so followers can
         // subscribe, a replica so *it* can serve followers (and fresh
         // subscriptions) after promotion. Enabled before the listener
@@ -458,7 +447,8 @@ impl<O: SpannerOracle + 'static> Drop for Server<O> {
     fn drop(&mut self) {
         self.stop_threads();
         // Dropping the service Arc last: with every handler joined this is
-        // the final reference, so the service joins its workers here.
+        // the final reference, so the service joins its background threads
+        // (if it was built with any) here.
         self.service.take();
     }
 }
