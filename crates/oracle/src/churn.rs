@@ -441,18 +441,22 @@ pub struct WaveReport {
     /// provable guarantees (the single oracle itself, or the sharded
     /// backend's global oracle).
     pub outcome: WaveOutcome,
-    /// Admission lanes whose serving state (and therefore caches) the wave
-    /// rebuilt. The single oracle is one lane and every wave rebuilds it;
-    /// a sharded backend lists exactly the wave-touched shards. The
-    /// front-end uses this to shed or queue traffic headed for a region
-    /// that is mid-rebuild. Note the lane list covers *shard* regions
-    /// only: a sharded backend drops every lazily-stitched pair region on
-    /// every wave, so the first cross-shard query afterwards pays a pair
-    /// rebuild even when neither endpoint's lane appears here.
+    /// Serving regions whose state (and therefore caches) the wave
+    /// rebuilt. The single oracle is one region, `0`, and every wave
+    /// rebuilds it; a sharded backend lists exactly the wave-touched
+    /// shards. The wire `WAVE` reply and the journal digest carry it. Note
+    /// the list covers *shard* regions only: a sharded backend drops every
+    /// lazily-stitched pair region on every wave, so the first cross-shard
+    /// query afterwards pays a pair rebuild even when neither endpoint's
+    /// shard appears here.
     pub rebuilt_lanes: Vec<usize>,
     /// Shard pairs whose portals the wave completely severed (always empty
     /// for the single oracle) — see [`ShardWaveOutcome::severed_pairs`].
     pub severed_pairs: Vec<(u32, u32)>,
+    /// The epoch this wave published: the backend's epoch right after the
+    /// repair. Not part of [`WaveReport::digest`], which covers what the
+    /// wave decided, not where it landed.
+    pub epoch: u64,
 }
 
 impl WaveReport {

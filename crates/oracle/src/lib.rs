@@ -32,11 +32,10 @@
 //!   interface (queries, batches, waves, unified [`ServiceMetrics`]) with an
 //!   exactness contract (see the [`traits`] module docs) — and the
 //!   [`OracleService`] front-end is written once against it: a non-blocking
-//!   submit / pump / drain request loop with bounded **admission control**
-//!   (global for the single oracle, per-shard lanes for the sharded one,
-//!   with shed-or-queue handling of lanes mid-rebuild after a wave) and
-//!   per-fault-set **request coalescing**, waves included as FIFO barriers
-//!   ([`OracleService::submit_wave`]).
+//!   submit / pump / drain request loop in which one round answers every
+//!   request queued ahead of the next wave, with per-fault-set **request
+//!   coalescing**, a pending-queue cap as the one overload guard, and waves
+//!   as FIFO barriers ([`OracleService::submit_wave`]).
 //!
 //! ## Example
 //!
@@ -64,7 +63,7 @@
 //! assert_eq!(answers.len(), 2);
 //!
 //! // Or put the oracle behind the service front-end: submit / drain /
-//! // wave / snapshot, with coalescing and admission control built in.
+//! // wave / snapshot, with coalescing built in.
 //! use ftspan_oracle::{OracleService, ServiceConfig};
 //! let mut service = OracleService::new(oracle, ServiceConfig::default());
 //! let ticket = service.submit(Query::distance(vid(0), vid(5), faults));
@@ -101,8 +100,7 @@ pub use oracle::{FaultOracle, OracleOptions};
 pub use query::{Answer, Query, QueryKind};
 pub use replication::{JournalEntry, Replica, ReplicationError, WaveJournal};
 pub use service::{
-    EpochHandle, OracleService, PumpOutcome, RebuildPolicy, ServiceConfig, ServiceJournal,
-    TicketId, TicketState,
+    EpochHandle, OracleService, PumpOutcome, ServiceConfig, ServiceJournal, TicketId, TicketState,
 };
 pub use shard::{
     ShardPlan, ShardPlanOptions, ShardedMetrics, ShardedMetricsSnapshot, ShardedOptions,

@@ -154,8 +154,8 @@ pub struct ServiceMetrics {
     pub answered: u64,
     /// Duplicate requests coalesced away before reaching the backend.
     pub coalesced: u64,
-    /// Requests shed by admission control (queue overflow or a lane
-    /// mid-rebuild under the shed policy).
+    /// Requests shed on arrival because the pending queue was full
+    /// ([`ServiceConfig::max_pending`](crate::ServiceConfig::max_pending)).
     pub shed: u64,
     /// Front-end pump rounds executed.
     pub rounds: u64,
@@ -190,12 +190,11 @@ impl ServiceMetrics {
     /// the `ftspan-server` `METRICS` endpoint returns.
     ///
     /// The format is **stable** (pinned by a unit test): counters first, the
-    /// derived gauges after, one `ftspan_lane_shed_total{lane="i"}` line per
-    /// admission lane in `lane_shed`, and the locality block only for
-    /// routing backends. Ratios are printed with six decimals; every line
+    /// derived gauges after, and the locality block only for routing
+    /// backends. Ratios are printed with six decimals; every line
     /// ends in `\n`.
     #[must_use]
-    pub fn render_prometheus(&self, lane_shed: &[u64]) -> String {
+    pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(1024);
         let counter = |out: &mut String, name: &str, help: &str, value: u64| {
@@ -279,14 +278,6 @@ impl ServiceMetrics {
             "ftspan_last_wave_recovery_micros {}",
             self.last_wave_recovery_micros
         );
-        let _ = writeln!(
-            out,
-            "# HELP ftspan_lane_shed_total Requests shed per admission lane."
-        );
-        let _ = writeln!(out, "# TYPE ftspan_lane_shed_total counter");
-        for (lane, &shed) in lane_shed.iter().enumerate() {
-            let _ = writeln!(out, "ftspan_lane_shed_total{{lane=\"{lane}\"}} {shed}");
-        }
         let _ = writeln!(
             out,
             "# HELP ftspan_cache_hit_ratio Fraction of queries served from cache."
@@ -393,7 +384,7 @@ mod tests {
             wave_recovery_micros: 8150,
             last_wave_recovery_micros: 4075,
         };
-        let text = metrics.render_prometheus(&[1, 0]);
+        let text = metrics.render_prometheus();
         let expected = "\
 # HELP ftspan_queries_total Queries the backend answered.
 # TYPE ftspan_queries_total counter
@@ -431,10 +422,6 @@ ftspan_wave_recovery_micros_total 8150
 # HELP ftspan_last_wave_recovery_micros Recovery time of the most recent wave.
 # TYPE ftspan_last_wave_recovery_micros gauge
 ftspan_last_wave_recovery_micros 4075
-# HELP ftspan_lane_shed_total Requests shed per admission lane.
-# TYPE ftspan_lane_shed_total counter
-ftspan_lane_shed_total{lane=\"0\"} 1
-ftspan_lane_shed_total{lane=\"1\"} 0
 # HELP ftspan_cache_hit_ratio Fraction of queries served from cache.
 # TYPE ftspan_cache_hit_ratio gauge
 ftspan_cache_hit_ratio 0.813008
@@ -453,7 +440,7 @@ ftspan_cache_hit_ratio 0.813008
             }),
             ..ServiceMetrics::default()
         };
-        let text = metrics.render_prometheus(&[]);
+        let text = metrics.render_prometheus();
         assert!(text.contains("ftspan_locality_local_total 6\n"));
         assert!(text.contains("ftspan_locality_stitched_total 2\n"));
         assert!(text.contains("ftspan_locality_global_fallbacks_total 2\n"));

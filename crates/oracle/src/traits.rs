@@ -111,21 +111,6 @@ pub trait SpannerOracle: Send + Sync {
     /// zero here; [`OracleService`](crate::service::OracleService) fills
     /// them in.
     fn service_metrics(&self) -> ServiceMetrics;
-
-    /// How many independent admission lanes this backend exposes. The
-    /// single oracle has one; a sharded backend has one lane per shard, so
-    /// the front-end can bound in-flight work — and shed or queue traffic
-    /// after a rebuild — per shard rather than globally.
-    fn admission_lanes(&self) -> usize {
-        1
-    }
-
-    /// The admission lane a `(u, v)` query is charged to. Must be in
-    /// `0..admission_lanes()`.
-    fn admission_lane(&self, u: VertexId, v: VertexId) -> usize {
-        let _ = (u, v);
-        0
-    }
 }
 
 impl SpannerOracle for FaultOracle {
@@ -170,6 +155,7 @@ impl SpannerOracle for FaultOracle {
             outcome,
             rebuilt_lanes: vec![0],
             severed_pairs: Vec::new(),
+            epoch: self.epoch(),
         }
     }
 
@@ -226,6 +212,7 @@ impl SpannerOracle for ShardedOracle {
             rebuilt_lanes: outcome.rebuilt_shards,
             severed_pairs: outcome.severed_pairs,
             outcome: outcome.global,
+            epoch: self.epoch(),
         }
     }
 
@@ -245,17 +232,6 @@ impl SpannerOracle for ShardedOracle {
             }),
             ..ServiceMetrics::default()
         }
-    }
-
-    fn admission_lanes(&self) -> usize {
-        self.shard_count()
-    }
-
-    /// Queries are charged to the lane of `u`'s shard — the shard whose
-    /// region (or pair region) does the serving work for both local and
-    /// cross-shard routes.
-    fn admission_lane(&self, u: VertexId, _v: VertexId) -> usize {
-        self.plan().shard_of(u) as usize
     }
 }
 
@@ -295,11 +271,8 @@ mod tests {
         let epoch_before = oracle.epoch();
         let report = oracle.apply_wave(&FaultSet::vertices([vid(11)]), &ChurnConfig::default());
         assert!(!report.rebuilt_lanes.is_empty());
-        assert!(report
-            .rebuilt_lanes
-            .iter()
-            .all(|&lane| lane < oracle.admission_lanes()));
         assert_eq!(oracle.epoch(), epoch_before + 1);
+        assert_eq!(report.epoch, oracle.epoch(), "the epoch the wave published");
         let metrics = oracle.service_metrics();
         assert!(metrics.queries >= 4);
         assert_eq!(metrics.waves, 1);
@@ -314,8 +287,6 @@ mod tests {
             OracleOptions::default(),
         );
         drive(&mut oracle);
-        assert_eq!(SpannerOracle::admission_lanes(&oracle), 1);
-        assert_eq!(SpannerOracle::admission_lane(&oracle, vid(3), vid(7)), 0);
         assert!(SpannerOracle::service_metrics(&oracle).locality.is_none());
     }
 
@@ -332,14 +303,7 @@ mod tests {
                 ..ShardedOptions::default()
             },
         );
-        let lanes = SpannerOracle::admission_lanes(&oracle);
-        assert_eq!(lanes, oracle.shard_count());
         drive(&mut oracle);
-        for u in 0..oracle.graph().vertex_count() {
-            let lane = SpannerOracle::admission_lane(&oracle, vid(u), vid(0));
-            assert!(lane < lanes);
-            assert_eq!(lane, oracle.plan().shard_of(vid(u)) as usize);
-        }
         assert!(SpannerOracle::service_metrics(&oracle).locality.is_some());
     }
 
@@ -357,14 +321,7 @@ mod tests {
                 ..crate::HierarchicalOptions::default()
             },
         );
-        let lanes = SpannerOracle::admission_lanes(&oracle);
-        assert_eq!(lanes, oracle.shard_count());
         drive(&mut oracle);
-        for u in 0..oracle.graph().vertex_count() {
-            let lane = SpannerOracle::admission_lane(&oracle, vid(u), vid(0));
-            assert!(lane < lanes);
-            assert_eq!(lane, oracle.plan().shard_of(vid(u)) as usize);
-        }
         assert!(SpannerOracle::service_metrics(&oracle).locality.is_some());
     }
 

@@ -128,14 +128,15 @@ pub struct WireAnswer {
 pub enum BatchEntry {
     /// The query was answered.
     Answered(WireAnswer),
-    /// The query was shed by the service's admission control.
+    /// The query was shed by the service's pending-queue cap.
     Shed,
 }
 
 /// What a `WAVE` did, summarized for the client.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WaveSummary {
-    /// The backend epoch after the wave.
+    /// The epoch this wave published (not whatever epoch is current when
+    /// the reply is written).
     pub epoch: u64,
     /// Spanner edges added by repair.
     pub edges_added: u64,
@@ -143,7 +144,7 @@ pub struct WaveSummary {
     pub broken_pairs: u64,
     /// Whether local repair escalated to a full respan.
     pub escalated: bool,
-    /// Admission lanes (shards) whose serving state was rebuilt.
+    /// Serving regions (shards) whose state the wave rebuilt.
     pub rebuilt_lanes: Vec<u32>,
 }
 
@@ -152,7 +153,7 @@ pub struct WaveSummary {
 pub enum ShedReason {
     /// The per-client token bucket was empty.
     RateLimited,
-    /// The service's admission control shed the request.
+    /// The service's pending-queue cap shed the request.
     Admission,
     /// The connection sat idle (or stalled mid-frame) past the server's
     /// read timeout; the server sends this and closes the connection so a

@@ -39,11 +39,12 @@
 //! * **Bounded in-flight tickets** ([`ServerConfig::max_in_flight_per_conn`]):
 //!   oversized batches are split into chunks submitted one at a time, so a
 //!   single connection can never occupy more than its share of service
-//!   tickets; within the service, the existing per-lane admission bounds
-//!   ([`ServiceConfig::with_lane_in_flight`](ftspan_oracle::ServiceConfig))
-//!   apply per round. Queries the service sheds come back as per-entry
-//!   [`BatchEntry::Shed`] (or [`ShedReason::Admission`] for single
-//!   queries).
+//!   tickets. Within the service, one round answers everything queued
+//!   ahead of the next wave, and the pending-queue cap
+//!   ([`ServiceConfig::max_pending`](ftspan_oracle::ServiceConfig::max_pending))
+//!   is the one overload guard. Queries the service sheds come back as
+//!   per-entry [`BatchEntry::Shed`] (or [`ShedReason::Admission`] for
+//!   single queries).
 //! * **Accepting**: the accept loop blocks in `accept`; shutdown wakes it
 //!   with a connection to its own address. Errors about one peer
 //!   (`ECONNABORTED`, `ECONNRESET`) are retried at once, and resource
@@ -842,7 +843,7 @@ fn serve_request<O: SpannerOracle + Snapshottable + 'static>(
             let ticket = service.submit_wave(wave);
             match service.wait(ticket) {
                 TicketState::Waved(report) => Reply::Wave(WaveSummary {
-                    epoch: service.oracle().epoch(),
+                    epoch: report.epoch,
                     edges_added: report.outcome.edges_added as u64,
                     broken_pairs: report.outcome.broken_pairs.len() as u64,
                     escalated: report.outcome.escalated,

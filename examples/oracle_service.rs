@@ -48,12 +48,11 @@ fn main() {
     );
 
     let queries_per_wave = 2_000;
-    let config = ServiceConfig::default().with_max_in_flight(512);
+    let config = ServiceConfig::default();
     let demo = DemoConfig {
         waves: 5,
         wave_size: 6,
         seed: 2021,
-        chunk: 0,
     };
 
     let metrics = run_service_demo(oracle, config, demo, move |oracle, rng| {

@@ -25,11 +25,6 @@ pub struct DemoConfig {
     pub wave_size: usize,
     /// RNG seed for waves (traffic draws from the same stream).
     pub seed: u64,
-    /// Requests submitted per pump round, modelling arrival over time
-    /// (`0` = the whole burst arrives at once). With chunked arrival only
-    /// the traffic landing while a rebuilt lane is still cooling gets
-    /// shed; later chunks are served normally.
-    pub chunk: usize,
 }
 
 /// Runs the full demo — rolling waves, bursty traffic through the
@@ -101,18 +96,8 @@ where
             traffic(&epoch, &mut rng)
         };
         let start = Instant::now();
-        let mut tickets: Vec<TicketId> = Vec::with_capacity(queries.len());
-        let mut outcome = ftspan_oracle::PumpOutcome::default();
-        let chunk = if demo.chunk == 0 {
-            queries.len().max(1)
-        } else {
-            demo.chunk
-        };
-        for arrivals in queries.chunks(chunk) {
-            tickets.extend(service.submit_batch_ref(arrivals.iter()));
-            outcome.absorb(service.pump());
-        }
-        outcome.absorb(service.drain());
+        let tickets: Vec<TicketId> = service.submit_batch_ref(&queries);
+        let outcome = service.drain();
         let secs = start.elapsed().as_secs_f64();
         total_queries += outcome.answered;
         total_secs += secs;
@@ -172,12 +157,11 @@ where
     );
     if let Some(split) = &metrics.locality {
         println!(
-            "locality:         {:.1}% ({} local, {} stitched, {} fallbacks); shed by lane {:?}",
+            "locality:         {:.1}% ({} local, {} stitched, {} fallbacks)",
             100.0 * split.locality_rate(),
             split.local,
             split.stitched,
             split.global_fallbacks,
-            service.shed_by_lane(),
         );
     }
     println!(

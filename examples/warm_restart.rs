@@ -105,7 +105,7 @@ fn main() {
     );
 
     // --- 2. Serve the restored oracle over TCP. -----------------------
-    let service = OracleService::new(restored, ServiceConfig::default().with_max_in_flight(256));
+    let service = OracleService::new(restored, ServiceConfig::default());
     let server = Server::start(service, "127.0.0.1:0", ServerConfig::default())
         .expect("server starts on an ephemeral port");
     println!("serving on {}", server.local_addr());

@@ -225,8 +225,8 @@ fn service_journal_feeds_a_replica_to_convergence() {
     let graph = generators::connected_gnp(60, 0.1, &mut r);
     let build = |g| FaultOracle::build(g, SpannerParams::vertex(2, 2), OracleOptions::default());
 
-    let service = OracleService::new(build(graph), ServiceConfig::default().with_journal());
-    let journal = service.journal().expect("journaling enabled");
+    let service = OracleService::new(build(graph), ServiceConfig::default());
+    let journal = service.enable_journal();
 
     // Age the primary, then bootstrap the replica mid-stream.
     for _ in 0..3 {

@@ -92,12 +92,7 @@ fn assert_entries_match(
 fn server_answers_match_direct_backend_across_a_wave() {
     let mut direct = build_backend(7301);
     let backend = build_backend(7301);
-    let service = OracleService::new(
-        backend,
-        ServiceConfig::default()
-            .with_max_in_flight(64)
-            .with_lane_in_flight(16),
-    );
+    let service = OracleService::new(backend, ServiceConfig::default());
     let server =
         Server::start(service, "127.0.0.1:0", ServerConfig::default()).expect("server starts");
     let addr = server.local_addr();
@@ -203,7 +198,7 @@ fn server_answers_match_direct_backend_across_a_wave() {
     for family in [
         "ftspan_queries_total",
         "ftspan_cache_hit_ratio",
-        "ftspan_lane_shed_total",
+        "ftspan_shed_total",
         "ftspan_waves_total 1",
     ] {
         assert!(
