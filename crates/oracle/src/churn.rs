@@ -124,13 +124,14 @@ use crate::oracle::FaultOracle;
 use crate::repair::neighborhood_candidates_with;
 use crate::shard::{region_signature, shard_namespace, Region, ShardedOracle};
 
-/// Configuration of the churn loop.
+/// Configuration of the churn loop: the post-repair spot check.
+///
+/// Repair collects candidates within the stretch `2k − 1` hops of the
+/// damage, the distance within which a broken witness path must have
+/// passed it. A spot check that finds a violation always escalates to the
+/// provably-sufficient full respan.
 #[derive(Clone, Debug)]
 pub struct ChurnConfig {
-    /// Hop radius around the seeds when collecting repair candidates.
-    /// `0` means "use the stretch `2k − 1`", the distance within which a
-    /// broken witness path must have passed the damage.
-    pub repair_radius: u32,
     /// Samples for the post-repair spot check: half uniformly random, half
     /// adversarial, split exactly and deterministically (an odd count puts
     /// the extra sample in the random half — see
@@ -139,17 +140,13 @@ pub struct ChurnConfig {
     pub verify_samples: usize,
     /// Seed of the post-repair spot check, for reproducibility.
     pub verify_seed: u64,
-    /// Whether an invalid spot check escalates to a full respan.
-    pub escalate: bool,
 }
 
 impl Default for ChurnConfig {
     fn default() -> Self {
         Self {
-            repair_radius: 0,
             verify_samples: 16,
             verify_seed: 0x000C_4151_77AE,
-            escalate: true,
         }
     }
 }
@@ -183,11 +180,7 @@ impl FaultOracle {
     /// that is exactly when repair has real work to do.
     pub fn apply_wave(&mut self, wave: &FaultSet, config: &ChurnConfig) -> WaveOutcome {
         let start = Instant::now();
-        let radius = if config.repair_radius == 0 {
-            self.params.stretch()
-        } else {
-            config.repair_radius
-        };
+        let radius = self.params.stretch();
         // The oracle-owned scratch serves every stage of the wave —
         // violation detection, candidate collection, the incremental-LBC
         // respan — and survives to the next wave, so steady-state churn
@@ -275,7 +268,7 @@ impl FaultOracle {
                     seed: config.verify_seed,
                 },
             );
-            if !report.is_valid() && config.escalate {
+            if !report.is_valid() {
                 escalated = true;
                 let mut fixed = full_respan_with(
                     &mut scratch.repair,

@@ -25,9 +25,6 @@ pub struct OracleOptions {
     /// thousand), not the total ever observed — see
     /// [`TreeCache`](crate::TreeCache) for the cost model.
     pub cache_capacity: usize,
-    /// Worker threads for [`FaultOracle::answer_batch`]. `0` means "use the
-    /// machine's available parallelism".
-    pub workers: usize,
     /// Record LBC certificates during construction and repair. Certificates
     /// let the churn loop seed localized repair from the spots where the
     /// spanner's redundancy was thinnest; disable to save memory.
@@ -44,7 +41,6 @@ impl Default for OracleOptions {
     fn default() -> Self {
         Self {
             cache_capacity: 128,
-            workers: 0,
             collect_certificates: true,
             cache_namespace: 0,
         }
@@ -369,8 +365,8 @@ impl FaultOracle {
     }
 
     /// Answers one query. For batches prefer
-    /// [`FaultOracle::answer_batch`](crate::batch), which reuses scratch
-    /// buffers and parallelizes across fault-set groups.
+    /// [`FaultOracle::answer_batch`](crate::batch), which groups queries by
+    /// fault set so each group shares its cached trees.
     #[must_use]
     pub fn answer(&self, query: &Query) -> Answer {
         with_query_scratch(|scratch| self.answer_with_scratch(query, scratch))

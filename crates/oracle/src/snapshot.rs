@@ -296,17 +296,21 @@ impl Snapshot {
     }
 }
 
+/// Writes the oracle options. The second slot held a batch worker count in
+/// earlier builds; it is written as `0` and skipped on read, so the format
+/// (and [`Snapshot::VERSION`]) stays as it was.
 fn encode_oracle_options(options: &OracleOptions, w: &mut WireWriter) {
     w.put_len(options.cache_capacity);
-    w.put_len(options.workers);
+    w.put_len(0);
     w.put_u8(u8::from(options.collect_certificates));
     w.put_u64(options.cache_namespace);
 }
 
 fn decode_oracle_options(r: &mut WireReader<'_>) -> Result<OracleOptions, SnapshotError> {
+    let cache_capacity = r.len(0)?;
+    let _retired_workers = r.len(0)?;
     Ok(OracleOptions {
-        cache_capacity: r.len(0)?,
-        workers: r.len(0)?,
+        cache_capacity,
         collect_certificates: r.u8()? != 0,
         cache_namespace: r.u64()?,
     })

@@ -28,19 +28,17 @@
 //!
 //! * **Per-client rate limiting** ([`ServerConfig::rate_capacity`] /
 //!   [`ServerConfig::rate_refill_per_sec`]): a token bucket per connection;
-//!   `DIST`/`PATH` cost one token, `BATCH` costs its length, `WAVE` costs
-//!   one, and `METRICS`/`SNAPSHOT` cost [`ServerConfig::metrics_cost`] /
-//!   [`ServerConfig::snapshot_cost`]. **Every request costs at least one
-//!   token** — an empty `BATCH` or a telemetry read is never free, so a
-//!   throttled client cannot loop free multi-MB snapshot downloads. An
-//!   empty bucket produces an explicit
+//!   `BATCH` costs its length and every other request costs one token.
+//!   **Every request costs at least one token** — an empty `BATCH` or a
+//!   telemetry read is never free, so a throttled client cannot loop free
+//!   multi-MB snapshot downloads. An empty bucket produces an explicit
 //!   [`Reply::Shed`]`(`[`ShedReason::RateLimited`]`)` — clients are told,
 //!   never silently dropped.
-//! * **Bounded in-flight tickets** ([`ServerConfig::max_in_flight_per_conn`]):
-//!   oversized batches are split into chunks submitted one at a time, so a
-//!   single connection can never occupy more than its share of service
-//!   tickets. Within the service, one round answers everything queued
-//!   ahead of the next wave, and the pending-queue cap
+//! * **Bounded in-flight tickets**: batches larger than 256 queries are
+//!   split into chunks submitted one at a time, so a single connection can
+//!   never occupy more than its share of service tickets. Within the
+//!   service, one round answers everything queued ahead of the next wave,
+//!   and the round runs on the thread that steps it. The pending-queue cap
 //!   ([`ServiceConfig::max_pending`](ftspan_oracle::ServiceConfig::max_pending))
 //!   is the one overload guard. Queries the service sheds come back as
 //!   per-entry [`BatchEntry::Shed`] (or [`ShedReason::Admission`] for
@@ -75,10 +73,6 @@ use crate::protocol::{
 /// Configuration of a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Maximum service tickets one connection may hold in flight; larger
-    /// `BATCH` requests are split into chunks of this size, submitted one
-    /// chunk at a time.
-    pub max_in_flight_per_conn: usize,
     /// Token-bucket burst capacity per connection. `0` disables rate
     /// limiting entirely.
     pub rate_capacity: u32,
@@ -86,13 +80,6 @@ pub struct ServerConfig {
     /// each connection gets exactly `rate_capacity` requests, which makes
     /// shedding deterministic (the configuration the e2e tests pin).
     pub rate_refill_per_sec: f64,
-    /// Token cost of a `METRICS` request. Floored at 1: telemetry is
-    /// cheap but never free.
-    pub metrics_cost: u32,
-    /// Token cost of a `SNAPSHOT` request. Floored at 1; captures ship
-    /// the full serialized oracle, so deployments that rate-limit should
-    /// price them well above a query.
-    pub snapshot_cost: u32,
     /// Per-connection read timeout. A connection that sends nothing — or
     /// stalls mid-frame, the slow-loris pattern — for this long gets one
     /// explicit [`Reply::Shed`]`(`[`ShedReason::Timeout`]`)` and is
@@ -117,11 +104,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            max_in_flight_per_conn: 256,
             rate_capacity: 0,
             rate_refill_per_sec: 0.0,
-            metrics_cost: 1,
-            snapshot_cost: 1,
             read_timeout: Some(Duration::from_secs(30)),
             snapshot_interval: None,
             snapshot_chunk_len: 4 * 1024 * 1024,
@@ -129,20 +113,28 @@ impl Default for ServerConfig {
     }
 }
 
-/// Token cost of one request under `config`, floored at one token so no
-/// request shape — not even `BATCH []` — is free.
-fn request_cost(request: &Request, config: &ServerConfig) -> f64 {
-    let raw = match request {
+/// Service tickets one connection may hold in flight: a larger `BATCH` is
+/// split into chunks of this size, submitted one chunk at a time.
+const MAX_IN_FLIGHT_PER_CONN: usize = 256;
+
+/// Longest a journal subscription stays silent: an idle tick still sends
+/// an empty frame, as a heartbeat.
+const JOURNAL_HEARTBEAT: Duration = Duration::from_millis(200);
+
+/// Token cost of one request: a `BATCH` costs its length, floored at one
+/// token so no request shape — not even `BATCH []` — is free; every other
+/// request costs one.
+fn request_cost(request: &Request) -> f64 {
+    match request {
+        Request::Batch(queries) => queries.len().max(1) as f64,
         Request::Distance { .. }
         | Request::Path { .. }
         | Request::Wave(_)
+        | Request::Metrics
+        | Request::Snapshot
         | Request::JournalSubscribe { .. }
         | Request::Promote => 1.0,
-        Request::Batch(queries) => queries.len() as f64,
-        Request::Metrics => f64::from(config.metrics_cost),
-        Request::Snapshot => f64::from(config.snapshot_cost),
-    };
-    raw.max(1.0)
+    }
 }
 
 /// The most recent background snapshot, shared between the timer thread
@@ -610,7 +602,7 @@ fn handle_connection<O: SpannerOracle + Snapshottable + 'static>(
                 // Multi-frame replies are written by the handler itself;
                 // everything else goes through `serve_request`.
                 Ok(Request::Snapshot) => {
-                    let reply = admission(&Request::Snapshot, &mut bucket, config);
+                    let reply = admission(&Request::Snapshot, &mut bucket);
                     let result = match reply {
                         Some(reply) => {
                             encode_reply_into(&reply, &mut reply_buf);
@@ -637,7 +629,6 @@ fn handle_connection<O: SpannerOracle + Snapshottable + 'static>(
                         service,
                         from_epoch,
                         &mut bucket,
-                        config,
                         shutdown,
                     );
                     // A subscription consumes the connection: when the
@@ -646,9 +637,8 @@ fn handle_connection<O: SpannerOracle + Snapshottable + 'static>(
                     break;
                 }
                 Ok(request) => {
-                    let reply = admission(&request, &mut bucket, config).unwrap_or_else(|| {
-                        serve_request(request, service, config, vertex_count, role)
-                    });
+                    let reply = admission(&request, &mut bucket)
+                        .unwrap_or_else(|| serve_request(request, service, vertex_count, role));
                     encode_reply_into(&reply, &mut reply_buf);
                     if write_frame(&mut stream, reply_buf.as_slice()).is_err() {
                         break;
@@ -701,13 +691,9 @@ fn handle_connection<O: SpannerOracle + Snapshottable + 'static>(
 
 /// Rate-limit + validity gate shared by all request shapes. `Some` is the
 /// rejection reply; `None` admits the request.
-fn admission(
-    request: &Request,
-    bucket: &mut Option<TokenBucket>,
-    config: &ServerConfig,
-) -> Option<Reply> {
+fn admission(request: &Request, bucket: &mut Option<TokenBucket>) -> Option<Reply> {
     if let Some(bucket) = bucket {
-        if !bucket.admit(request_cost(request, config)) {
+        if !bucket.admit(request_cost(request)) {
             return Some(Reply::Shed(ShedReason::RateLimited));
         }
     }
@@ -754,11 +740,10 @@ fn stream_journal<O: SpannerOracle + 'static>(
     service: &OracleService<O>,
     from_epoch: u64,
     bucket: &mut Option<TokenBucket>,
-    config: &ServerConfig,
     shutdown: &AtomicBool,
 ) {
     let request = Request::JournalSubscribe { from_epoch };
-    if let Some(reply) = admission(&request, bucket, config) {
+    if let Some(reply) = admission(&request, bucket) {
         encode_reply_into(&reply, reply_buf);
         let _ = write_frame(stream, reply_buf.as_slice());
         return;
@@ -784,8 +769,12 @@ fn stream_journal<O: SpannerOracle + 'static>(
         return;
     }
     let mut cursor = from_epoch;
+    // The first frame is the backlog, sent at once even when it is empty:
+    // a subscriber that is already current must not wait out a tick.
+    let mut wait = Duration::ZERO;
     while !shutdown.load(Ordering::SeqCst) {
-        let entries = journal.wait_past(cursor, Duration::from_millis(200));
+        let entries = journal.wait_past(cursor, wait);
+        wait = JOURNAL_HEARTBEAT;
         if let Some(last) = entries.last() {
             cursor = last.epoch;
         }
@@ -801,7 +790,6 @@ fn stream_journal<O: SpannerOracle + 'static>(
 fn serve_request<O: SpannerOracle + Snapshottable + 'static>(
     request: Request,
     service: &OracleService<O>,
-    config: &ServerConfig,
     vertex_count: usize,
     role: &RoleState,
 ) -> Reply {
@@ -815,10 +803,9 @@ fn serve_request<O: SpannerOracle + Snapshottable + 'static>(
             // Bound this connection's in-flight tickets: submit one chunk at
             // a time, waiting for each before the next.
             let mut entries = Vec::with_capacity(queries.len());
-            let chunk_size = config.max_in_flight_per_conn.max(1);
             let mut queries = queries;
             while !queries.is_empty() {
-                let rest = queries.split_off(queries.len().min(chunk_size));
+                let rest = queries.split_off(queries.len().min(MAX_IN_FLIGHT_PER_CONN));
                 let chunk = std::mem::replace(&mut queries, rest);
                 let tickets = service.submit_batch(chunk);
                 for ticket in tickets {
@@ -928,42 +915,23 @@ mod tests {
     use ftspan::FaultModel;
     use ftspan_graph::vid;
 
-    fn config(metrics_cost: u32, snapshot_cost: u32) -> ServerConfig {
-        ServerConfig {
-            metrics_cost,
-            snapshot_cost,
-            ..ServerConfig::default()
-        }
-    }
-
     #[test]
     fn every_request_costs_at_least_one_token() {
-        let c = config(0, 0);
-        assert_eq!(request_cost(&Request::Batch(vec![]), &c), 1.0);
-        assert_eq!(request_cost(&Request::Metrics, &c), 1.0);
-        assert_eq!(request_cost(&Request::Snapshot, &c), 1.0);
+        assert_eq!(request_cost(&Request::Batch(vec![])), 1.0);
+        assert_eq!(request_cost(&Request::Metrics), 1.0);
+        assert_eq!(request_cost(&Request::Snapshot), 1.0);
         let empty = FaultSet::empty(FaultModel::Vertex);
         assert_eq!(
-            request_cost(
-                &Request::Distance {
-                    u: vid(0),
-                    v: vid(1),
-                    faults: empty.clone(),
-                },
-                &c
-            ),
+            request_cost(&Request::Distance {
+                u: vid(0),
+                v: vid(1),
+                faults: empty.clone(),
+            }),
             1.0
         );
-        assert_eq!(request_cost(&Request::Wave(empty), &c), 1.0);
-    }
-
-    #[test]
-    fn telemetry_costs_are_configurable() {
-        let c = config(3, 40);
-        assert_eq!(request_cost(&Request::Metrics, &c), 3.0);
-        assert_eq!(request_cost(&Request::Snapshot, &c), 40.0);
-        let queries = vec![Query::distance(vid(0), vid(1), FaultSet::empty(FaultModel::Vertex)); 5];
-        assert_eq!(request_cost(&Request::Batch(queries), &c), 5.0);
+        assert_eq!(request_cost(&Request::Wave(empty.clone())), 1.0);
+        let queries = vec![Query::distance(vid(0), vid(1), empty); 5];
+        assert_eq!(request_cost(&Request::Batch(queries)), 5.0);
     }
 
     #[test]
@@ -971,11 +939,10 @@ mod tests {
         let server_config = ServerConfig {
             rate_capacity: 2,
             rate_refill_per_sec: 0.0,
-            snapshot_cost: 1,
             ..ServerConfig::default()
         };
         let mut bucket = TokenBucket::new(&server_config).expect("bucket configured");
-        let cost = request_cost(&Request::Snapshot, &server_config);
+        let cost = request_cost(&Request::Snapshot);
         assert!(bucket.admit(cost));
         assert!(bucket.admit(cost));
         assert!(!bucket.admit(cost), "free snapshot loops are closed");

@@ -294,3 +294,27 @@ fn primary_killed_mid_snapshot_fails_typed_then_retries_clean() {
         "retried replica must be byte-identical to the never-failed mirror"
     );
 }
+
+/// An idle primary answers a subscription with its backlog at once, even
+/// an empty one: a replica that is already current must not wait out a
+/// journal heartbeat tick before it can start.
+#[test]
+fn idle_primary_sends_an_empty_backlog_at_once() {
+    let service = OracleService::new(build_backend(9303), ServiceConfig::default());
+    let epoch = service.oracle().epoch();
+    let primary =
+        Server::start(service, "127.0.0.1:0", ServerConfig::default()).expect("primary starts");
+    let mut subscriber = Client::connect(primary.local_addr()).expect("subscriber connects");
+    let start = Instant::now();
+    let backlog = subscriber
+        .journal_subscribe(epoch)
+        .expect("subscription accepted");
+    let waited = start.elapsed();
+    assert!(backlog.is_empty(), "an idle primary has no backlog");
+    assert!(
+        waited < Duration::from_millis(100),
+        "the empty backlog took {waited:?}"
+    );
+    drop(subscriber);
+    let _ = primary.shutdown();
+}

@@ -320,30 +320,45 @@ fn warm_sharded_hits_allocate_at_most_the_fault_localization() {
 #[test]
 fn inline_batch_misses_reuse_the_thread_scratch() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // A one-query batch runs on the calling thread, which reuses that
-    // thread's recycled Dijkstra buffers. Once one batch has sized them, a
-    // cache miss allocates only what its answer and its cached tree need,
-    // so the count must not grow with the graph (a fresh scratch per batch
-    // regrows its distance, parent and queue buffers every time).
-    let mut counts = Vec::new();
-    for side in [10, 60] {
-        let oracle = FaultOracle::build(
-            generators::grid(side, side),
-            SpannerParams::vertex(2, 1),
-            OracleOptions::default(),
+    // A batch runs on the calling thread, which reuses that thread's
+    // recycled Dijkstra buffers. Once one batch has sized them, a cache miss
+    // allocates only what its answer and its cached tree need, so the count
+    // must not grow with the graph (a fresh scratch per batch, or per worker
+    // thread, regrows its distance, parent and queue buffers every time).
+    // Two shapes: one miss, and four misses under four distinct faults.
+    let shapes: [(&str, &[usize], &[usize]); 2] = [
+        ("one-query", &[1], &[2]),
+        ("four-query", &[3, 4, 5, 6], &[7, 8, 9, 10]),
+    ];
+    for (label, warm, measured) in shapes {
+        let mut counts = Vec::new();
+        for side in [10, 60] {
+            let oracle = FaultOracle::build(
+                generators::grid(side, side),
+                SpannerParams::vertex(2, 1),
+                OracleOptions::default(),
+            );
+            let n = side * side;
+            let misses = |victims: &[usize]| {
+                let batch: Vec<Query> = victims
+                    .iter()
+                    .map(|&victim| {
+                        Query::distance(vid(0), vid(n - 1), FaultSet::vertices([vid(victim)]))
+                    })
+                    .collect();
+                let answers = oracle.answer_batch(&batch);
+                assert!(
+                    answers.iter().all(|a| !a.cache_hit),
+                    "a new fault set must miss"
+                );
+            };
+            misses(warm);
+            counts.push(count_allocations(|| misses(measured)));
+        }
+        assert_eq!(
+            counts[0], counts[1],
+            "a {label} batch miss allocated {} times on a 10 x 10 grid but {} on 60 x 60",
+            counts[0], counts[1]
         );
-        let n = side * side;
-        let miss = |victim: usize| {
-            let query = Query::distance(vid(0), vid(n - 1), FaultSet::vertices([vid(victim)]));
-            let answers = oracle.answer_batch(&[query]);
-            assert!(!answers[0].cache_hit, "a new fault set must miss");
-        };
-        miss(1);
-        counts.push(count_allocations(|| miss(2)));
     }
-    assert_eq!(
-        counts[0], counts[1],
-        "a one-query batch miss allocated {} times on a 10 x 10 grid but {} on 60 x 60",
-        counts[0], counts[1]
-    );
 }
