@@ -66,17 +66,6 @@ impl Partition {
         out
     }
 
-    /// Size of the largest cluster (0 for an empty graph) — the balance
-    /// criterion of [`Decomposition::sharding_partition`].
-    #[must_use]
-    pub fn max_cluster_size(&self) -> usize {
-        self.clusters()
-            .iter()
-            .map(|(_, members)| members.len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The maximum hop diameter of any cluster, measured inside the induced
     /// subgraph of the cluster (strong diameter). Singleton clusters have
     /// diameter 0.
@@ -120,22 +109,6 @@ impl Decomposition {
             let (u, v) = e.endpoints();
             self.partitions.iter().any(|p| p.covers_edge(graph, u, v))
         })
-    }
-
-    /// The most balanced partition: the one whose largest cluster is
-    /// smallest (ties broken by partition index). `ShardPlan` in
-    /// `ftspan-oracle` applies the same rule to its sequential clusterings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the decomposition has no partitions (never produced by
-    /// [`padded_decomposition`]).
-    #[must_use]
-    pub fn sharding_partition(&self) -> &Partition {
-        self.partitions
-            .iter()
-            .min_by_key(|p| p.max_cluster_size())
-            .expect("decomposition has at least one partition")
     }
 
     /// Fraction of edges covered by at least one cluster.

@@ -44,7 +44,6 @@ pub mod congest_ft;
 pub mod decomposition;
 pub mod local_spanner;
 pub mod metrics;
-pub mod parallel;
 pub mod runtime;
 
 pub use congest_bs::congest_baswana_sen;
@@ -57,7 +56,3 @@ pub use local_spanner::{
     LocalSpannerOptions,
 };
 pub use metrics::RoundStats;
-pub use parallel::{
-    decomposed_parallel_spanner, decomposed_parallel_spanner_with, ParallelBuildOutcome,
-    ParallelBuildPlan,
-};

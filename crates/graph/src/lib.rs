@@ -67,8 +67,5 @@ pub use epoch::EpochMarks;
 pub use error::{GraphError, Result};
 pub use graph::{Graph, GraphBuilder};
 pub use ids::{eid, vid, EdgeId, IdRemap, VertexId};
-pub use view::{
-    fault_fingerprint, fault_fingerprint_namespaced, namespace_fingerprint, FaultScratch,
-    FaultView, GraphView, ScratchFaultView,
-};
+pub use view::{fault_fingerprint, FaultScratch, FaultView, GraphView, ScratchFaultView};
 pub use wire::{fnv1a64, WireError, WireReader, WireWriter};

@@ -215,69 +215,33 @@ pub struct FaultView<'g> {
     edge_blocked: Vec<bool>,
     blocked_vertex_count: usize,
     blocked_edge_count: usize,
-    namespace: u64,
-    fingerprint: u64,
 }
 
-/// Domain-separation tags mixed into the [`FaultView::fingerprint`] so a
-/// blocked vertex and a blocked edge with the same index hash differently,
-/// and so a namespace qualifier can never cancel against either.
+/// Domain-separation tags mixed into [`fault_fingerprint`] so a faulted
+/// vertex and a faulted edge with the same index hash differently.
 const VERTEX_FINGERPRINT_TAG: u64 = 0x9E6C_63D0_76CC_4311;
 const EDGE_FINGERPRINT_TAG: u64 = 0x5851_F42D_4C95_7F2D;
-const NAMESPACE_FINGERPRINT_TAG: u64 = 0xA24B_AED4_963E_E407;
 
 /// SplitMix64 finalizer, used to spread fault element ids over 64 bits.
 #[inline]
-fn mix64(tag: u64, value: u64) -> u64 {
-    let mut z = tag ^ value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+fn mix_fingerprint(tag: u64, index: usize) -> u64 {
+    let mut z = tag ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-#[inline]
-fn mix_fingerprint(tag: u64, index: usize) -> u64 {
-    mix64(tag, index as u64)
-}
-
-/// The fingerprint contribution of a namespace qualifier: `0` for the default
-/// namespace `0`, a SplitMix64 hash otherwise.
+/// A 64-bit fingerprint of the fault set with exactly the given vertices
+/// and edges, in `O(|F|)`.
 ///
-/// Fault fingerprints are computed over *local* element indices, so two
-/// different regions (for example two shards of a sharded oracle) holding
-/// identical local fault patterns would collide. Namespacing folds a
-/// region-unique qualifier into the fingerprint so cached `G \ F` artifacts
-/// can never be confused across regions. Namespace `0` is the global
-/// namespace and leaves every existing fingerprint unchanged.
-#[inline]
-#[must_use]
-pub fn namespace_fingerprint(namespace: u64) -> u64 {
-    if namespace == 0 {
-        0
-    } else {
-        mix64(NAMESPACE_FINGERPRINT_TAG, namespace)
-    }
-}
-
-/// Like [`fault_fingerprint`] but qualified by a namespace (see
-/// [`namespace_fingerprint`]). `fault_fingerprint_namespaced(0, ..)` equals
-/// `fault_fingerprint(..)`.
-#[must_use]
-pub fn fault_fingerprint_namespaced<VI, EI>(namespace: u64, vertices: VI, edges: EI) -> u64
-where
-    VI: IntoIterator<Item = VertexId>,
-    EI: IntoIterator<Item = EdgeId>,
-{
-    namespace_fingerprint(namespace) ^ fault_fingerprint(vertices, edges)
-}
-
-/// Computes the fingerprint a [`FaultView`] would report after blocking
-/// exactly the given vertices and edges, without building the view.
-///
-/// Caching layers key "`G \ F` artifacts" by fault set; this lets them derive
-/// the key in `O(|F|)` straight from the fault lists while staying consistent
-/// with [`FaultView::fingerprint`]. Duplicate elements must not be passed
-/// (XOR would cancel them out).
+/// The fingerprint is an XOR of per-element SplitMix64 hashes, so it does
+/// not depend on the order of the elements, and equal fault sets always
+/// share it. Caching layers key "`G \ F` artifacts" (for example
+/// per-fault-set shortest-path trees) by it without sorting or hashing the
+/// fault lists again. As with any 64-bit hash, distinct fault sets can
+/// collide with probability `~2⁻⁶⁴`; exact caches must confirm equality on
+/// the full fault set after a fingerprint hit. Duplicate elements must not
+/// be passed (XOR would cancel them out).
 #[must_use]
 pub fn fault_fingerprint<VI, EI>(vertices: VI, edges: EI) -> u64
 where
@@ -295,37 +259,16 @@ where
 }
 
 impl<'g> FaultView<'g> {
-    /// Creates a view with an empty fault set in the global namespace `0`.
+    /// Creates a view with an empty fault set.
     #[must_use]
     pub fn new(graph: &'g Graph) -> Self {
-        Self::with_namespace(graph, 0)
-    }
-
-    /// Creates a view with an empty fault set whose fingerprints are
-    /// qualified by `namespace` (see [`namespace_fingerprint`]).
-    ///
-    /// Views over remapped regions (shards) must use a region-unique
-    /// namespace: their local element indices overlap, so unqualified
-    /// fingerprints of identical local fault patterns would collide across
-    /// regions.
-    #[must_use]
-    pub fn with_namespace(graph: &'g Graph, namespace: u64) -> Self {
         Self {
             graph,
             vertex_blocked: vec![false; graph.vertex_count()],
             edge_blocked: vec![false; graph.edge_count()],
             blocked_vertex_count: 0,
             blocked_edge_count: 0,
-            namespace,
-            fingerprint: namespace_fingerprint(namespace),
         }
-    }
-
-    /// The namespace qualifier this view folds into its fingerprint.
-    #[inline]
-    #[must_use]
-    pub fn namespace(&self) -> u64 {
-        self.namespace
     }
 
     /// Creates a view with the given vertices already blocked.
@@ -374,7 +317,6 @@ impl<'g> FaultView<'g> {
         } else {
             *slot = true;
             self.blocked_vertex_count += 1;
-            self.fingerprint ^= mix_fingerprint(VERTEX_FINGERPRINT_TAG, v.index());
             true
         }
     }
@@ -389,7 +331,6 @@ impl<'g> FaultView<'g> {
         if *slot {
             *slot = false;
             self.blocked_vertex_count -= 1;
-            self.fingerprint ^= mix_fingerprint(VERTEX_FINGERPRINT_TAG, v.index());
             true
         } else {
             false
@@ -408,7 +349,6 @@ impl<'g> FaultView<'g> {
         } else {
             *slot = true;
             self.blocked_edge_count += 1;
-            self.fingerprint ^= mix_fingerprint(EDGE_FINGERPRINT_TAG, e.index());
             true
         }
     }
@@ -423,38 +363,18 @@ impl<'g> FaultView<'g> {
         if *slot {
             *slot = false;
             self.blocked_edge_count -= 1;
-            self.fingerprint ^= mix_fingerprint(EDGE_FINGERPRINT_TAG, e.index());
             true
         } else {
             false
         }
     }
 
-    /// Removes all faults, restoring the full graph (the namespace is kept).
+    /// Removes all faults, restoring the full graph.
     pub fn clear(&mut self) {
         self.vertex_blocked.fill(false);
         self.edge_blocked.fill(false);
         self.blocked_vertex_count = 0;
         self.blocked_edge_count = 0;
-        self.fingerprint = namespace_fingerprint(self.namespace);
-    }
-
-    /// A 64-bit fingerprint of the current fault set, maintained in `O(1)`
-    /// per block/unblock operation.
-    ///
-    /// The fingerprint is an XOR of per-element SplitMix64 hashes, so it is
-    /// independent of the order in which faults were applied and returns to
-    /// its previous value when a fault is lifted; two views over the same
-    /// graph with equal fault sets always share a fingerprint. Caching layers
-    /// use it as a cheap first-level key for "`G \ F` artifacts" (for
-    /// example per-fault-set shortest-path trees) without materializing or
-    /// sorting the fault set on every lookup. As with any 64-bit hash,
-    /// distinct fault sets can collide with probability `~2⁻⁶⁴`; exact caches
-    /// must confirm equality on the full fault set after a fingerprint hit.
-    #[inline]
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Number of currently blocked vertices.
@@ -901,26 +821,31 @@ mod tests {
         assert!(!view.contains_edge(e01));
     }
 
+    /// The fingerprint of a view's current fault set.
+    fn fingerprint(view: &FaultView<'_>) -> u64 {
+        fault_fingerprint(view.blocked_vertices(), view.blocked_edges())
+    }
+
     #[test]
     fn fingerprint_is_order_independent_and_reversible() {
         let g = cycle(6);
         let mut a = FaultView::new(&g);
         let mut b = FaultView::new(&g);
-        assert_eq!(a.fingerprint(), 0);
+        assert_eq!(fingerprint(&a), 0);
         a.block_vertex(vid(1));
         a.block_vertex(vid(4));
         b.block_vertex(vid(4));
         b.block_vertex(vid(1));
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), 0);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        assert_ne!(fingerprint(&a), 0);
         // Lifting one fault returns to the single-fault fingerprint.
         let mut single = FaultView::new(&g);
         single.block_vertex(vid(1));
         a.unblock_vertex(vid(4));
-        assert_eq!(a.fingerprint(), single.fingerprint());
+        assert_eq!(fingerprint(&a), fingerprint(&single));
         // Re-blocking an already blocked element must not change anything.
         a.block_vertex(vid(1));
-        assert_eq!(a.fingerprint(), single.fingerprint());
+        assert_eq!(fingerprint(&a), fingerprint(&single));
     }
 
     #[test]
@@ -930,7 +855,7 @@ mod tests {
         by_vertex.block_vertex(vid(2));
         let mut by_edge = FaultView::new(&g);
         by_edge.block_edge(crate::eid(2));
-        assert_ne!(by_vertex.fingerprint(), by_edge.fingerprint());
+        assert_ne!(fingerprint(&by_vertex), fingerprint(&by_edge));
     }
 
     #[test]
@@ -941,7 +866,7 @@ mod tests {
         view.block_vertex(vid(5));
         view.block_vertex(vid(1));
         view.block_edge(e);
-        assert_eq!(view.fingerprint(), fault_fingerprint([vid(1), vid(5)], [e]));
+        assert_eq!(fingerprint(&view), fault_fingerprint([vid(1), vid(5)], [e]));
         assert_eq!(fault_fingerprint([], []), 0);
     }
 
@@ -950,48 +875,9 @@ mod tests {
         let g = cycle(5);
         let mut view = FaultView::with_blocked_vertices(&g, [vid(0), vid(2)]);
         view.block_edge(g.edge_between(vid(3), vid(4)).unwrap());
-        assert_ne!(view.fingerprint(), 0);
+        assert_ne!(fingerprint(&view), 0);
         view.clear();
-        assert_eq!(view.fingerprint(), 0);
-    }
-
-    #[test]
-    fn namespaced_views_with_equal_faults_have_distinct_fingerprints() {
-        let g = cycle(6);
-        let mut a = FaultView::with_namespace(&g, 1);
-        let mut b = FaultView::with_namespace(&g, 2);
-        assert_eq!(a.namespace(), 1);
-        assert_ne!(a.fingerprint(), b.fingerprint(), "empty sets must differ");
-        a.block_vertex(vid(3));
-        b.block_vertex(vid(3));
-        assert_ne!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "identical local fault patterns in different namespaces must not collide"
-        );
-        // Clearing returns to the namespace's base fingerprint, not to 0.
-        let base = FaultView::with_namespace(&g, 1).fingerprint();
-        a.clear();
-        assert_eq!(a.fingerprint(), base);
-        assert_ne!(base, 0);
-    }
-
-    #[test]
-    fn namespace_zero_matches_unnamespaced_fingerprints() {
-        let g = cycle(5);
-        let mut plain = FaultView::new(&g);
-        let mut zero = FaultView::with_namespace(&g, 0);
-        plain.block_vertex(vid(2));
-        zero.block_vertex(vid(2));
-        assert_eq!(plain.fingerprint(), zero.fingerprint());
-        assert_eq!(
-            fault_fingerprint_namespaced(0, [vid(2)], []),
-            fault_fingerprint([vid(2)], [])
-        );
-        assert_eq!(
-            fault_fingerprint_namespaced(7, [vid(2)], []),
-            namespace_fingerprint(7) ^ fault_fingerprint([vid(2)], [])
-        );
+        assert_eq!(fingerprint(&view), 0);
     }
 
     #[test]

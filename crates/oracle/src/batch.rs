@@ -25,10 +25,10 @@ use crate::shard::{Route, ShardedOracle};
 /// allocation-free; a (astronomically unlikely) fingerprint collision merely
 /// merges two groups, whose queries still resolve exactly by their own fault
 /// sets.
-fn group_by_fingerprint(queries: &[Query], namespace: u64) -> Vec<(u64, Vec<usize>)> {
+fn group_by_fingerprint(queries: &[Query]) -> Vec<(u64, Vec<usize>)> {
     let mut by_fault: HashMap<u64, Vec<usize>> = HashMap::new();
     for (idx, query) in queries.iter().enumerate() {
-        let fp = KeyRef::new(namespace, &query.faults).fingerprint();
+        let fp = KeyRef::new(&query.faults).fingerprint();
         by_fault.entry(fp).or_default().push(idx);
     }
     let mut groups: Vec<(u64, Vec<usize>)> = by_fault.into_iter().collect();
@@ -64,7 +64,7 @@ impl FaultOracle {
     #[must_use]
     pub fn answer_batch(&self, queries: &[Query]) -> Vec<Answer> {
         self.metrics().record_batch();
-        let groups = group_by_fingerprint(queries, self.cache_namespace());
+        let groups = group_by_fingerprint(queries);
         answer_in_slots(queries.len(), |slots, scratch| {
             for (fp, idxs) in &groups {
                 let mut held: Option<(&Query, Arc<CachedTree>)> = None;
@@ -104,7 +104,7 @@ impl FaultOracle {
                 return self.answer_from_tree(query.u, query.v, query.kind, &cached.tree, true);
             }
         }
-        let key = KeyRef::with_fingerprint(self.cache_namespace(), fingerprint, &query.faults);
+        let key = KeyRef::with_fingerprint(fingerprint, &query.faults);
         let (cached, cache_hit) = self.tree_for(&key, query.u, query.v, scratch);
         let answer = self.answer_from_tree(query.u, query.v, query.kind, &cached.tree, cache_hit);
         if self.options.cache_capacity > 0 {
@@ -128,7 +128,7 @@ impl ShardedOracle {
         self.metrics().record_batch();
         let mut by_group: HashMap<(Route, u64), Vec<usize>> = HashMap::new();
         for (idx, query) in queries.iter().enumerate() {
-            let fp = KeyRef::new(0, &query.faults).fingerprint();
+            let fp = KeyRef::new(&query.faults).fingerprint();
             by_group
                 .entry((self.route(query.u, query.v), fp))
                 .or_default()

@@ -23,41 +23,32 @@ use std::sync::Arc;
 
 use ftspan::FaultSet;
 use ftspan_graph::dijkstra::ShortestPathTree;
-use ftspan_graph::{fault_fingerprint_namespaced, EdgeId, VertexId};
+use ftspan_graph::{fault_fingerprint, EdgeId, VertexId};
 
-/// Exact owned cache key for one fault set, qualified by a cache namespace.
+/// Exact owned cache key for one fault set.
 ///
-/// `Hash` uses only the precomputed fingerprint; `Eq` compares the namespace
-/// and the full sorted fault lists, so a (astronomically unlikely)
-/// fingerprint collision degrades to a bucket collision, never to a wrong
-/// answer.
+/// `Hash` uses only the precomputed fingerprint; `Eq` compares the full
+/// sorted fault lists, so a (astronomically unlikely) fingerprint collision
+/// degrades to a bucket collision, never to a wrong answer.
 ///
-/// The namespace exists because fault fingerprints are computed over *local*
-/// element indices: two shards of a [`ShardedOracle`](crate::ShardedOracle)
-/// with identical local fault patterns would otherwise produce equal keys and
-/// could share cache entries through any cache layered across shards. Each
-/// shard therefore keys its trees under a shard-unique namespace
-/// (see [`OracleOptions::cache_namespace`](crate::OracleOptions)).
+/// Keys carry no region qualifier. Fault fingerprints are computed over
+/// *local* element indices, so two shard regions of a
+/// [`ShardedOracle`](crate::ShardedOracle) with identical local fault
+/// patterns derive equal keys; that is sound because every region owns its
+/// own cache, so keys of two regions never meet in one.
 #[derive(Clone, Debug, Eq)]
 pub struct CacheKey {
     fingerprint: u64,
-    namespace: u64,
     vertices: Vec<VertexId>,
     edges: Vec<EdgeId>,
 }
 
 impl CacheKey {
-    /// Builds the key for a fault set in the global namespace `0` (fault
-    /// sets are sorted and deduplicated by construction).
+    /// Builds the key for a fault set (fault sets are sorted and
+    /// deduplicated by construction).
     #[must_use]
     pub fn from_fault_set(faults: &FaultSet) -> Self {
-        Self::namespaced(0, faults)
-    }
-
-    /// Builds the key for a fault set under the given cache namespace.
-    #[must_use]
-    pub fn namespaced(namespace: u64, faults: &FaultSet) -> Self {
-        KeyRef::new(namespace, faults).to_owned_key()
+        KeyRef::new(faults).to_owned_key()
     }
 
     /// The fingerprint used for hashing.
@@ -67,19 +58,11 @@ impl CacheKey {
         self.fingerprint
     }
 
-    /// The cache namespace the key was derived under.
-    #[inline]
-    #[must_use]
-    pub fn namespace(&self) -> u64 {
-        self.namespace
-    }
-
     /// Exact comparison against a borrowed key, allocation-free: fingerprint
-    /// and namespace first, then the full sorted fault lists.
+    /// first, then the full sorted fault lists.
     #[inline]
     fn matches(&self, key: &KeyRef<'_>) -> bool {
         self.fingerprint == key.fingerprint
-            && self.namespace == key.namespace
             && self.vertices.as_slice() == key.faults.vertex_faults()
             && self.edges.as_slice() == key.faults.edge_faults()
     }
@@ -88,7 +71,6 @@ impl CacheKey {
 impl PartialEq for CacheKey {
     fn eq(&self, other: &Self) -> bool {
         self.fingerprint == other.fingerprint
-            && self.namespace == other.namespace
             && self.vertices == other.vertices
             && self.edges == other.edges
     }
@@ -100,29 +82,26 @@ impl Hash for CacheKey {
     }
 }
 
-/// A borrowed cache key: namespace, precomputed fingerprint, and a reference
-/// to the fault set. Deriving one costs `O(|F|)` fingerprint mixing and no
+/// A borrowed cache key: precomputed fingerprint and a reference to the
+/// fault set. Deriving one costs `O(|F|)` fingerprint mixing and no
 /// heap allocation, which is what keeps the cached-tree hit path
 /// allocation-free. [`KeyRef::to_owned_key`] materializes the owned
 /// [`CacheKey`] for insertion.
 #[derive(Clone, Copy, Debug)]
 pub struct KeyRef<'a> {
-    namespace: u64,
     fingerprint: u64,
     faults: &'a FaultSet,
 }
 
 impl<'a> KeyRef<'a> {
-    /// Derives the borrowed key for a fault set under a namespace.
+    /// Derives the borrowed key for a fault set.
     #[must_use]
-    pub fn new(namespace: u64, faults: &'a FaultSet) -> Self {
-        let fingerprint = fault_fingerprint_namespaced(
-            namespace,
+    pub fn new(faults: &'a FaultSet) -> Self {
+        let fingerprint = fault_fingerprint(
             faults.vertex_faults().iter().copied(),
             faults.edge_faults().iter().copied(),
         );
         Self {
-            namespace,
             fingerprint,
             faults,
         }
@@ -131,15 +110,14 @@ impl<'a> KeyRef<'a> {
     /// Rebuilds a borrowed key from a fingerprint computed earlier (batch
     /// grouping computes it once per group and reuses it per query).
     #[must_use]
-    pub fn with_fingerprint(namespace: u64, fingerprint: u64, faults: &'a FaultSet) -> Self {
+    pub fn with_fingerprint(fingerprint: u64, faults: &'a FaultSet) -> Self {
         Self {
-            namespace,
             fingerprint,
             faults,
         }
     }
 
-    /// The namespaced fingerprint.
+    /// The fault-set fingerprint.
     #[inline]
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -158,7 +136,6 @@ impl<'a> KeyRef<'a> {
     pub fn to_owned_key(&self) -> CacheKey {
         CacheKey {
             fingerprint: self.fingerprint,
-            namespace: self.namespace,
             vertices: self.faults.vertex_faults().to_vec(),
             edges: self.faults.edge_faults().to_vec(),
         }
@@ -436,46 +413,16 @@ mod tests {
     #[test]
     fn key_ref_agrees_with_owned_key() {
         let faults = FaultSet::vertices([vid(2), vid(9)]);
-        let owned = CacheKey::namespaced(3, &faults);
-        let borrowed = KeyRef::new(3, &faults);
+        let owned = CacheKey::from_fault_set(&faults);
+        let borrowed = KeyRef::new(&faults);
         assert_eq!(owned.fingerprint(), borrowed.fingerprint());
         assert_eq!(borrowed.to_owned_key(), owned);
         assert!(owned.matches(&borrowed));
-        // Mismatched namespace or fault set must not match.
-        assert!(!owned.matches(&KeyRef::new(4, &faults)));
+        // A mismatched fault set must not match, even under a forged
+        // fingerprint.
         let other = FaultSet::vertices([vid(2)]);
-        assert!(!owned.matches(&KeyRef::new(3, &other)));
-    }
-
-    #[test]
-    fn namespaces_separate_identical_local_fault_patterns() {
-        // Regression: shard-local fault sets are expressed in remapped local
-        // ids, so two shards with identical local fault patterns used to
-        // derive equal keys and could share cache entries. Namespaced keys
-        // must never collide across shards.
-        let faults = FaultSet::vertices([vid(1), vid(3)]);
-        let shard_a = CacheKey::namespaced(1, &faults);
-        let shard_b = CacheKey::namespaced(2, &faults);
-        assert_ne!(shard_a, shard_b);
-        assert_ne!(shard_a.fingerprint(), shard_b.fingerprint());
-        assert_eq!(shard_a.namespace(), 1);
-        // Namespace 0 is the legacy global namespace.
-        assert_eq!(
-            CacheKey::namespaced(0, &faults),
-            CacheKey::from_fault_set(&faults)
-        );
-
-        // End to end: a cache fed trees under shard A's key must miss for
-        // shard B even though the local fault lists and sources are equal.
-        let mut cache = TreeCache::new(4);
-        cache.insert(shard_a.clone(), vid(0), tree_for(0));
-        assert!(cache.get(&shard_a, vid(0)).is_some());
-        assert!(
-            cache.get(&shard_b, vid(0)).is_none(),
-            "shards must not share cache entries"
-        );
-        assert!(cache.get_ref(&KeyRef::new(1, &faults), vid(0)).is_some());
-        assert!(cache.get_ref(&KeyRef::new(2, &faults), vid(0)).is_none());
+        assert!(!owned.matches(&KeyRef::new(&other)));
+        assert!(!owned.matches(&KeyRef::with_fingerprint(owned.fingerprint(), &other)));
     }
 
     #[test]
@@ -493,7 +440,7 @@ mod tests {
         );
         // Borrowed-key lookups see the same entry.
         let hit = cache
-            .get_ref(&KeyRef::new(0, &faults), vid(0))
+            .get_ref(&KeyRef::new(&faults), vid(0))
             .expect("cached");
         assert_eq!(hit.tree.source(), vid(0));
         assert_eq!(cache.fault_sets_cached(), 1);

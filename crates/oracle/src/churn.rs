@@ -122,7 +122,7 @@ impl DistCache {
 use crate::boundary::BoundaryIndex;
 use crate::oracle::FaultOracle;
 use crate::repair::neighborhood_candidates_with;
-use crate::shard::{region_signature, shard_namespace, Region, ShardedOracle};
+use crate::shard::{region_signature, Region, ShardedOracle};
 
 /// Configuration of the churn loop: the post-repair spot check.
 ///
@@ -579,7 +579,6 @@ impl ShardedOracle {
                     self.global.graph(),
                     self.global.spanner(),
                     &self.options.oracle,
-                    shard_namespace(shard),
                     &members,
                 ))
             });

@@ -41,11 +41,7 @@ pub struct HierarchicalOptions {
     /// `ceil(sqrt(shard count))`, the balance point where both levels'
     /// boundary state grows like the square root of the shard count.
     pub super_shards: usize,
-    /// Hop radius of every shard's halo (see
-    /// [`ShardedOptions::halo_radius`]). `None` uses the stretch `2k − 1`.
-    pub halo_radius: Option<u32>,
-    /// Options of the global oracle and (with per-region cache namespaces)
-    /// of every region's tree cache.
+    /// Options of the global oracle and of every region's tree cache.
     pub oracle: OracleOptions,
 }
 
@@ -65,7 +61,6 @@ impl From<HierarchicalOptions> for ShardedOptions {
     fn from(options: HierarchicalOptions) -> Self {
         Self {
             plan: options.plan,
-            halo_radius: options.halo_radius,
             oracle: options.oracle,
             super_shards: Some(options.super_shards),
         }

@@ -29,12 +29,6 @@ pub struct OracleOptions {
     /// let the churn loop seed localized repair from the spots where the
     /// spanner's redundancy was thinnest; disable to save memory.
     pub collect_certificates: bool,
-    /// Namespace folded into every cache key fingerprint. Oracles serving a
-    /// *remapped region* of a larger graph (shards) must use a region-unique
-    /// namespace: their local element ids overlap, so unqualified keys of
-    /// identical local fault patterns would collide across regions. `0` (the
-    /// default) is the global namespace and keeps fingerprints unchanged.
-    pub cache_namespace: u64,
 }
 
 impl Default for OracleOptions {
@@ -42,15 +36,14 @@ impl Default for OracleOptions {
         Self {
             cache_capacity: 128,
             collect_certificates: true,
-            cache_namespace: 0,
         }
     }
 }
 
 /// The tree-cache path every serving structure shares — the
 /// [`FaultOracle`] and each shard, pair and leaf region: an LRU of
-/// shortest-path trees on `H ∖ F` under one cache namespace, plus the
-/// counters it feeds.
+/// shortest-path trees on `H ∖ F`, plus the counters it feeds. Every region
+/// owns its store, so keys over two regions' local ids never share a cache.
 ///
 /// Poison policy: a cache can always be dropped. A thread that panicked
 /// while holding the lock may have left the LRU half-updated, so the next
@@ -59,17 +52,15 @@ impl Default for OracleOptions {
 #[derive(Debug)]
 pub(crate) struct TreeStore {
     capacity: usize,
-    namespace: u64,
     cache: Mutex<TreeCache>,
     metrics: OracleMetrics,
 }
 
 impl TreeStore {
-    /// An empty store sized and namespaced by `options`.
+    /// An empty store sized by `options`.
     pub(crate) fn new(options: &OracleOptions) -> Self {
         Self {
             capacity: options.cache_capacity,
-            namespace: options.cache_namespace,
             cache: Mutex::new(TreeCache::new(options.cache_capacity)),
             metrics: OracleMetrics::default(),
         }
@@ -83,12 +74,6 @@ impl TreeStore {
             self.cache.clear_poison();
             cache
         })
-    }
-
-    /// Derives the borrowed (allocation-free) cache key for a fault set
-    /// under this store's namespace.
-    pub(crate) fn key_ref<'a>(&self, faults: &'a FaultSet) -> KeyRef<'a> {
-        KeyRef::new(self.namespace, faults)
     }
 
     /// The counters every query and tree build is recorded on.
@@ -343,7 +328,7 @@ impl FaultOracle {
     #[must_use]
     pub fn distance(&self, u: VertexId, v: VertexId, faults: &FaultSet) -> Option<f64> {
         with_query_scratch(|scratch| {
-            let key = self.key_ref(faults);
+            let key = KeyRef::new(faults);
             self.answer_with_key(u, v, QueryKind::Distance, &key, scratch)
         })
         .distance
@@ -358,7 +343,7 @@ impl FaultOracle {
         faults: &FaultSet,
     ) -> Option<(f64, Vec<VertexId>)> {
         let answer = with_query_scratch(|scratch| {
-            let key = self.key_ref(faults);
+            let key = KeyRef::new(faults);
             self.answer_with_key(u, v, QueryKind::Path, &key, scratch)
         });
         Some((answer.distance?, answer.path?))
@@ -378,19 +363,8 @@ impl FaultOracle {
         query: &Query,
         scratch: &mut DijkstraScratch,
     ) -> Answer {
-        let key = self.key_ref(&query.faults);
+        let key = KeyRef::new(&query.faults);
         self.answer_with_key(query.u, query.v, query.kind, &key, scratch)
-    }
-
-    /// Derives the borrowed (allocation-free) cache key for a fault set
-    /// under this oracle's namespace.
-    pub(crate) fn key_ref<'a>(&self, faults: &'a FaultSet) -> KeyRef<'a> {
-        self.trees.key_ref(faults)
-    }
-
-    /// The cache namespace this oracle keys its trees under.
-    pub(crate) fn cache_namespace(&self) -> u64 {
-        self.options.cache_namespace
     }
 
     /// Like [`FaultOracle::answer_with_scratch`] but with the cache key

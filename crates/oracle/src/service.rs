@@ -801,7 +801,7 @@ impl<O: SpannerOracle + 'static> OracleService<O> {
     /// to enqueue a new group under.
     fn admit_locked(&self, st: &mut CoreState, query: &Query) -> Result<TicketId, CoalesceKey> {
         st.counters.submitted += 1;
-        let fingerprint = crate::cache::KeyRef::new(0, &query.faults).fingerprint();
+        let fingerprint = crate::cache::KeyRef::new(&query.faults).fingerprint();
         let key = coalesce_key(query, fingerprint);
         if let Some(&id) = st.pending_map.get(&key) {
             // The mixed key can (astronomically rarely) collide, so the

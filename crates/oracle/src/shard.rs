@@ -8,8 +8,7 @@
 //! sequentially — serving never runs the network simulator); every shard
 //! serves a **region** — its core vertices plus a halo of radius `2k − 1` —
 //! from the spanner induced on it alone (no copy of the input graph), with
-//! its own tree cache, shard-local dense ids and a shard-unique cache
-//! namespace.
+//! its own tree cache and shard-local dense ids.
 //! Edge faults, which name input-graph edges, are resolved by endpoints
 //! straight to the region's spanner edges. Cross-shard queries are served
 //! from lazily-built **pair regions** (the union of two shards' regions,
@@ -62,10 +61,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::boundary::BoundaryIndex;
+use crate::cache::KeyRef;
 use crate::hierarchy::ShardGrouping;
 use crate::metrics::MetricsSnapshot;
 use crate::oracle::{with_query_scratch, FaultOracle, OracleOptions, TreeStore};
 use crate::query::{Answer, Query, QueryKind};
+
+/// Rate of a shard plan's exponential shifts: cluster radius is
+/// `O(log n / SHIFT_BETA)`.
+pub(crate) const SHIFT_BETA: f64 = 0.25;
+
+/// Candidate clusterings a shard plan draws; the most balanced one is kept.
+pub(crate) const PARTITIONS: usize = 4;
 
 /// How a [`ShardPlan`] is derived from exponential-shift clusterings.
 #[derive(Clone, Debug)]
@@ -77,11 +84,6 @@ pub struct ShardPlanOptions {
     /// graph and these options, so a fixed seed makes shard assignment
     /// reproducible across runs and machines.
     pub seed: u64,
-    /// Rate of the exponential shifts (cluster radius is `O(log n / beta)`).
-    /// Must be finite and positive.
-    pub beta: f64,
-    /// Candidate partitions to draw; the most balanced one is kept.
-    pub partitions: usize,
 }
 
 impl Default for ShardPlanOptions {
@@ -89,8 +91,6 @@ impl Default for ShardPlanOptions {
         Self {
             shards: 4,
             seed: 0x0005_4A2D_2020,
-            beta: 0.25,
-            partitions: 4,
         }
     }
 }
@@ -103,8 +103,8 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Derives a plan from exponential-shift clusterings: draw
-    /// `options.partitions` shift vectors with the seeded RNG, cluster each
+    /// Derives a plan from exponential-shift clusterings: draw four shift
+    /// vectors of rate `0.25` with the seeded RNG, cluster each
     /// with [`shifted_centers`], keep the first clustering whose largest
     /// cluster is smallest, and pack whole clusters into `options.shards`
     /// shards of roughly equal size. Deterministic given the graph and
@@ -122,19 +122,8 @@ impl ShardPlan {
     /// (the ball around its lowest vertex stays, the far half moves), so the
     /// plan always fills `min(shards, n)` shards while keeping the split
     /// halves as coherent as the graph allows.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `options.beta` is finite and positive: a NaN, negative
-    /// or infinite rate degenerates into singleton clusters, and a zero rate
-    /// into infinite shifts.
     #[must_use]
     pub fn build(graph: &Graph, options: &ShardPlanOptions) -> Self {
-        assert!(
-            options.beta.is_finite() && options.beta > 0.0,
-            "shard plan beta must be finite and positive, got {}",
-            options.beta
-        );
         if graph.vertex_count() == 0 {
             return Self::from_shard_of(Vec::new());
         }
@@ -230,12 +219,7 @@ pub struct ShardedOptions {
     /// How the shard plan is derived (ignored by
     /// [`ShardedOracle::build_with_plan`]).
     pub plan: ShardPlanOptions,
-    /// Hop radius of every shard's halo, measured in the spanner. `None`
-    /// uses the stretch `2k − 1` — the distance within which a spanner
-    /// witness path for a core edge can wander.
-    pub halo_radius: Option<u32>,
-    /// Options of the global oracle and (with per-shard cache namespaces)
-    /// of every region's tree cache.
+    /// Options of the global oracle and of every region's tree cache.
     pub oracle: OracleOptions,
     /// Groups the shards into super-shards for the boundary index only.
     /// `None` indexes the cut edges between shards. `Some(count)` packs the
@@ -256,7 +240,7 @@ pub struct ShardedOptions {
 pub(crate) struct Region {
     /// The spanner induced on the members, in local ids.
     pub(crate) spanner: Graph,
-    /// The region's tree cache and counters, under its cache namespace.
+    /// The region's own tree cache and counters.
     pub(crate) trees: TreeStore,
     pub(crate) remap: IdRemap,
     /// Local ids of the vertices with global spanner edges leaving the
@@ -273,8 +257,7 @@ impl Region {
     pub(crate) fn build(
         graph: &Graph,
         spanner: &Graph,
-        base_options: &OracleOptions,
-        namespace: u64,
+        options: &OracleOptions,
         members: &[VertexId],
     ) -> Self {
         let signature = region_signature(graph, spanner, members);
@@ -299,13 +282,9 @@ impl Region {
             .filter(|&&g| spanner.neighbors(g).any(|(nbr, _)| !remap.contains(nbr)))
             .map(|&g| remap.to_local(g).expect("member maps locally"))
             .collect();
-        let trees = TreeStore::new(&OracleOptions {
-            cache_namespace: namespace,
-            ..base_options.clone()
-        });
         Self {
             spanner: local_spanner,
-            trees,
+            trees: TreeStore::new(options),
             remap,
             frontier,
             signature,
@@ -362,7 +341,7 @@ impl Region {
         let lu = self.remap.to_local(u)?;
         let lv = self.remap.to_local(v)?;
         let faults = self.localize_faults(global_faults, global_graph);
-        let key = self.trees.key_ref(&faults);
+        let key = KeyRef::new(&faults);
         // Each lookup wants exactly its own root, because `front` is read
         // off the root's entry, and the localized faults already name
         // region spanner edges.
@@ -486,12 +465,11 @@ impl PairRegions {
 }
 
 /// One region per shard of `plan`: the shard's core plus every vertex within
-/// `halo_radius` hops in the global spanner, namespaced by `namespace(s)`.
+/// `halo_radius` hops in the global spanner.
 ///
 /// Sibling dedup: a shard whose member set equals an earlier shard's shares
-/// that extraction. The shared region keeps the first shard's cache
-/// namespace, which is sound — identical regions answer identically, so
-/// sharing their tree cache is a win, not a collision.
+/// that extraction and its tree cache, which is sound — identical regions
+/// answer identically, so sharing their cache is a win, not a collision.
 ///
 /// Each region is a pure function of the global state and the plan, so on a
 /// multicore host the distinct regions are extracted on one scoped thread
@@ -501,7 +479,6 @@ pub(crate) fn build_regions(
     plan: &ShardPlan,
     halo_radius: u32,
     options: &OracleOptions,
-    namespace: fn(usize) -> u64,
 ) -> Vec<Arc<Region>> {
     let members: Vec<Vec<VertexId>> = (0..plan.shard_count())
         .map(|s| global.spanner().halo_members(plan.core(s), halo_radius))
@@ -511,15 +488,7 @@ pub(crate) fn build_regions(
         .map(|s| (0..s).find(|&t| members[t] == members[s]).unwrap_or(s))
         .collect();
     let distinct: Vec<usize> = (0..members.len()).filter(|&s| owner[s] == s).collect();
-    let build = |s: usize| {
-        Region::build(
-            global.graph(),
-            global.spanner(),
-            options,
-            namespace(s),
-            &members[s],
-        )
-    };
+    let build = |s: usize| Region::build(global.graph(), global.spanner(), options, &members[s]);
     let build = &build;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let built: Vec<Region> = if cores > 1 && distinct.len() > 1 {
@@ -550,13 +519,13 @@ pub(crate) fn build_regions(
 }
 
 /// The cluster center of every vertex in the most balanced of
-/// `options.partitions` exponential-shift clusterings drawn from
-/// `options.seed`: the first whose largest cluster is smallest.
+/// [`PARTITIONS`] exponential-shift clusterings drawn from `options.seed`:
+/// the first whose largest cluster is smallest.
 fn balanced_clustering(graph: &Graph, options: &ShardPlanOptions) -> Vec<VertexId> {
     let n = graph.vertex_count();
     let mut rng = StdRng::seed_from_u64(options.seed);
-    (0..options.partitions.max(1))
-        .map(|_| shifted_centers(graph, &exponential_shifts(n, options.beta, &mut rng)))
+    (0..PARTITIONS)
+        .map(|_| shifted_centers(graph, &exponential_shifts(n, SHIFT_BETA, &mut rng)))
         .min_by_key(|centers| cluster_sizes(centers).into_iter().max().unwrap_or(0))
         .expect("at least one partition is drawn")
 }
@@ -834,9 +803,8 @@ impl ShardedOracle {
             plan.vertex_count(),
             "shard plan must cover the graph's vertex set"
         );
-        let params = result.params;
+        let halo_radius = result.params.stretch();
         let global = FaultOracle::from_result(graph, result, options.oracle.clone());
-        let halo_radius = options.halo_radius.unwrap_or_else(|| params.stretch());
         let shard_epochs = vec![0; plan.shard_count()];
         let grouping = options
             .super_shards
@@ -858,13 +826,7 @@ impl ShardedOracle {
     ) -> Self {
         let boundary_plan = grouping.as_ref().map_or(&plan, |g| &g.plan);
         let boundary = BoundaryIndex::build(global.spanner(), boundary_plan);
-        let regions = build_regions(
-            &global,
-            &plan,
-            halo_radius,
-            &options.oracle,
-            shard_namespace,
-        );
+        let regions = build_regions(&global, &plan, halo_radius, &options.oracle);
         Self {
             global,
             plan,
@@ -938,7 +900,9 @@ impl ShardedOracle {
         self.global.stretch_bound()
     }
 
-    /// The halo radius every shard region was expanded by.
+    /// The halo radius every shard region was expanded by: the stretch
+    /// `2k − 1`, the distance within which a spanner witness path for a core
+    /// edge can wander.
     #[inline]
     #[must_use]
     pub fn halo_radius(&self) -> u32 {
@@ -1080,7 +1044,7 @@ impl ShardedOracle {
             }
         }
         self.metrics.record_global_fallback();
-        let key = self.global.key_ref(faults);
+        let key = KeyRef::new(faults);
         self.global.answer_with_key(u, v, kind, &key, scratch)
     }
 
@@ -1103,7 +1067,6 @@ impl ShardedOracle {
                     self.global.graph(),
                     self.global.spanner(),
                     &self.options.oracle,
-                    pair_namespace(a, b),
                     members,
                 )
             })
@@ -1136,18 +1099,6 @@ pub(crate) enum Route {
     Local(u32),
     /// Endpoints in two different shards (normalized `a < b`).
     Pair(u32, u32),
-}
-
-/// Cache namespace of a shard region (`0` is reserved for the global
-/// namespace).
-pub(crate) fn shard_namespace(shard: usize) -> u64 {
-    shard as u64 + 1
-}
-
-/// Cache namespace of a pair region, disjoint from every shard namespace
-/// for any realistic shard count.
-pub(crate) fn pair_namespace(a: u32, b: u32) -> u64 {
-    (u64::from(a) + 1) << 32 | (u64::from(b) + 1)
 }
 
 #[cfg(test)]
@@ -1266,8 +1217,8 @@ mod tests {
         }
         // The kept clustering is the most balanced of the drawn ones.
         let mut rng = StdRng::seed_from_u64(options.seed);
-        for _ in 0..options.partitions {
-            let drawn = shifted_centers(&graph, &exponential_shifts(60, options.beta, &mut rng));
+        for _ in 0..PARTITIONS {
+            let drawn = shifted_centers(&graph, &exponential_shifts(60, SHIFT_BETA, &mut rng));
             assert!(cluster_sizes(&drawn).into_iter().max().unwrap_or(0) >= largest);
         }
         // Zero requested shards plans one.
@@ -1279,37 +1230,6 @@ mod tests {
             },
         );
         assert_eq!(one.shard_count(), 1);
-    }
-
-    #[test]
-    fn degenerate_beta_is_rejected() {
-        let graph = generators::path(8);
-        for beta in [f64::NAN, -0.25, 0.0, f64::INFINITY, f64::NEG_INFINITY] {
-            let options = ShardPlanOptions {
-                beta,
-                ..ShardPlanOptions::default()
-            };
-            let built = std::panic::catch_unwind(|| ShardPlan::build(&graph, &options));
-            let message = built.expect_err("a degenerate beta must panic");
-            let message = message
-                .downcast_ref::<String>()
-                .expect("the assert formats its message");
-            assert!(
-                message.contains("beta must be finite and positive"),
-                "{message}"
-            );
-        }
-        // Checked before anything else, on an empty graph too.
-        let empty = std::panic::catch_unwind(|| {
-            ShardPlan::build(
-                &Graph::new(0),
-                &ShardPlanOptions {
-                    beta: 0.0,
-                    ..ShardPlanOptions::default()
-                },
-            )
-        });
-        assert!(empty.is_err());
     }
 
     #[test]
@@ -1383,6 +1303,54 @@ mod tests {
         );
         assert_eq!(snap.local, 30);
         assert!((snap.locality_rate() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn isomorphic_regions_keep_their_own_trees_under_equal_local_faults() {
+        // Two copies of one grid, the second at twice the weight, one shard
+        // each: both regions number their members 0..n, so the same local
+        // fault pattern derives the same cache key in both. Each region owns
+        // its cache, so neither may answer from the other's trees.
+        let copy = generators::grid(4, 4);
+        let n = copy.vertex_count();
+        let mut graph = Graph::new(2 * n);
+        for (scale, base) in [(1.0, 0), (2.0, n)] {
+            for (_, e) in copy.edges() {
+                let (u, v) = e.endpoints();
+                graph.add_edge(base + u.index(), base + v.index(), scale * e.weight());
+            }
+        }
+        let plan = ShardPlan::from_shard_of((0..2 * n).map(|i| (i / n) as u32).collect());
+        let oracle = ShardedOracle::build_with_plan(
+            graph,
+            SpannerParams::vertex(2, 1),
+            plan,
+            ShardedOptions::default(),
+        );
+        assert!(!Arc::ptr_eq(&oracle.regions[0], &oracle.regions[1]));
+
+        let pairs = [(0, 15), (1, 14), (4, 11)];
+        let faults = [vec![5], vec![10], vec![]];
+        for base in [0, n] {
+            for (u, v) in pairs {
+                for local in &faults {
+                    let set = FaultSet::vertices(local.iter().map(|&x| vid(base + x)));
+                    let (u, v) = (vid(base + u), vid(base + v));
+                    assert_eq!(
+                        oracle.distance(u, v, &set).map(f64::to_bits),
+                        oracle.global().distance(u, v, &set).map(f64::to_bits)
+                    );
+                }
+            }
+        }
+        let queries = (2 * pairs.len() * faults.len()) as u64;
+        let metrics = oracle.metrics().snapshot();
+        assert_eq!((metrics.local, metrics.queries), (queries, queries));
+        // Every (fault set, source) pair built one tree in each region.
+        for region in &oracle.regions {
+            let built = region.trees.metrics().snapshot().trees_built;
+            assert_eq!(built, (pairs.len() * faults.len()) as u64);
+        }
     }
 
     #[test]
@@ -1746,19 +1714,5 @@ mod tests {
             region_signature(&before, &before, &members),
             region_signature(&far, &far, &members)
         );
-    }
-
-    #[test]
-    fn shard_namespaces_are_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..16 {
-            assert!(seen.insert(shard_namespace(s)));
-        }
-        for a in 0..8u32 {
-            for b in (a + 1)..8 {
-                assert!(seen.insert(pair_namespace(a, b)));
-            }
-        }
-        assert!(!seen.contains(&0), "0 is reserved for the global namespace");
     }
 }

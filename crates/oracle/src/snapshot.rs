@@ -64,7 +64,9 @@ use ftspan_graph::{vid, Graph, VertexId};
 
 use crate::hierarchy::ShardGrouping;
 use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
-use crate::shard::{ShardPlan, ShardPlanOptions, ShardedOptions, ShardedOracle};
+use crate::shard::{
+    ShardPlan, ShardPlanOptions, ShardedOptions, ShardedOracle, PARTITIONS, SHIFT_BETA,
+};
 
 /// Errors produced when restoring a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,23 +298,25 @@ impl Snapshot {
     }
 }
 
-/// Writes the oracle options. The second slot held a batch worker count in
-/// earlier builds; it is written as `0` and skipped on read, so the format
-/// (and [`Snapshot::VERSION`]) stays as it was.
+/// Writes the oracle options. The second slot held a batch worker count and
+/// the last a cache namespace in earlier builds; they are written as `0` and
+/// skipped on read, so the format (and [`Snapshot::VERSION`]) stays as it
+/// was.
 fn encode_oracle_options(options: &OracleOptions, w: &mut WireWriter) {
     w.put_len(options.cache_capacity);
     w.put_len(0);
     w.put_u8(u8::from(options.collect_certificates));
-    w.put_u64(options.cache_namespace);
+    w.put_u64(0);
 }
 
 fn decode_oracle_options(r: &mut WireReader<'_>) -> Result<OracleOptions, SnapshotError> {
     let cache_capacity = r.len(0)?;
     let _retired_workers = r.len(0)?;
+    let collect_certificates = r.u8()? != 0;
+    let _retired_namespace = r.u64()?;
     Ok(OracleOptions {
         cache_capacity,
-        collect_certificates: r.u8()? != 0,
-        cache_namespace: r.u64()?,
+        collect_certificates,
     })
 }
 
@@ -419,6 +423,12 @@ impl Snapshottable for ShardedOracle {
         matches!(kind, SnapshotKind::Sharded | SnapshotKind::Hierarchical)
     }
 
+    /// The shift rate, draw count and halo option were settable in earlier
+    /// builds. Their slots stay: the rate and count are written as the
+    /// plan's constants and the halo option as "derived" (tag `0`), and all
+    /// three are skipped on read. The resolved halo radius after the oracle
+    /// options is still honoured, so older snapshots restore the regions
+    /// they were captured with.
     fn encode_payload(&self, w: &mut WireWriter) {
         self.global.encode_payload(w);
         w.put_len(self.plan.vertex_count());
@@ -433,18 +443,12 @@ impl Snapshottable for ShardedOracle {
         }
         w.put_len(self.options.plan.shards);
         w.put_u64(self.options.plan.seed);
-        w.put_f64(self.options.plan.beta);
-        w.put_len(self.options.plan.partitions);
+        w.put_f64(SHIFT_BETA);
+        w.put_len(PARTITIONS);
         if let Some(super_shards) = self.options.super_shards {
             w.put_len(super_shards);
         }
-        match self.options.halo_radius {
-            None => w.put_u8(0),
-            Some(radius) => {
-                w.put_u8(1);
-                w.put_u32(radius);
-            }
-        }
+        w.put_u8(0);
         encode_oracle_options(&self.options.oracle, w);
         w.put_u32(self.halo_radius);
         w.put_len(self.shard_epochs.len());
@@ -493,21 +497,21 @@ impl Snapshottable for ShardedOracle {
         let plan_options = ShardPlanOptions {
             shards: r.len(0)?,
             seed: r.u64()?,
-            beta: r.f64()?,
-            partitions: r.len(0)?,
         };
+        let _retired_beta = r.f64()?;
+        let _retired_partitions = r.len(0)?;
         let super_shards = if grouped { Some(r.len(0)?) } else { None };
+        match r.u8()? {
+            0 => {}
+            1 => {
+                let _retired_halo_option = r.u32()?;
+            }
+            tag => {
+                return Err(WireError::malformed(format!("unknown halo radius tag {tag}")).into())
+            }
+        }
         let options = ShardedOptions {
             plan: plan_options,
-            halo_radius: match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                tag => {
-                    return Err(
-                        WireError::malformed(format!("unknown halo radius tag {tag}")).into(),
-                    )
-                }
-            },
             oracle: decode_oracle_options(r)?,
             super_shards,
         };
@@ -659,20 +663,24 @@ mod tests {
         assert_eq!(Snapshot::capture(&warm), Snapshot::capture(&cold));
     }
 
+    /// Frames a hand-built payload with a snapshot header.
+    fn framed(version: u32, kind: SnapshotKind, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = b"FTSPANSS".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.push(kind.tag());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
     /// Hand-encodes a version-1 snapshot of `oracle`: the v1 header, then
     /// the payload with `leading` (the pristine input graph) in front.
     fn v1_snapshot<O: Snapshottable>(oracle: &O, leading: &Graph) -> Vec<u8> {
         let mut payload = WireWriter::new();
         leading.encode_wire(&mut payload);
         oracle.encode_payload(&mut payload);
-        let payload = payload.into_vec();
-        let mut bytes = b"FTSPANSS".to_vec();
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(oracle.kind().tag());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes
+        framed(Snapshot::V1, oracle.kind(), &payload.into_vec())
     }
 
     fn churn<O: crate::SpannerOracle>(oracle: &mut O) {
@@ -720,12 +728,18 @@ mod tests {
         assert_eq!(Snapshot::capture(&old), v2);
     }
 
-    /// The capture bytes of a fixed flat and a fixed grouped oracle, one
-    /// wave in, pinned by checksum: the payload layout of kinds 1 and 2 is a
+    /// The capture bytes of a fixed single, flat and grouped oracle, one
+    /// wave in, pinned by checksum: the payload layout of every kind is a
     /// wire contract with replicas and files on disk.
     #[test]
     fn sharded_snapshot_bytes_are_pinned() {
         let wave = FaultSet::vertices([vid(7)]);
+        let mut one = single(4);
+        one.apply_wave(&wave, &crate::ChurnConfig::default());
+        let single_bytes = Snapshot::capture(&one);
+        assert_eq!(single_bytes.len(), 6900);
+        assert_eq!(fnv1a64(&single_bytes), 0x4bce_94fc_0bdd_bc5b);
+
         let mut flat = ShardedOracle::build(
             workload(4),
             SpannerParams::vertex(2, 1),
@@ -771,6 +785,41 @@ mod tests {
                 }
             );
         }
+    }
+
+    /// Snapshots written while the halo radius was an option (tag `1`, then
+    /// the requested radius) still restore, with the resolved radius they
+    /// stored; an unknown tag is a typed error.
+    #[test]
+    fn snapshots_with_a_requested_halo_restore_its_radius() {
+        let oracle = ShardedOracle::build(
+            workload(10),
+            SpannerParams::vertex(2, 1),
+            ShardedOptions::default(),
+        );
+        let mut payload = WireWriter::new();
+        oracle.encode_payload(&mut payload);
+        let mut payload = payload.into_vec();
+        // Tail: halo tag, oracle options (25 bytes), resolved radius, epochs.
+        let epochs = 8 + 8 * oracle.shard_count();
+        let tag = payload.len() - (1 + 25 + 4 + epochs);
+        let resolved = payload.len() - (4 + epochs);
+        assert_eq!(payload[tag], 0);
+        payload[resolved..resolved + 4].copy_from_slice(&5u32.to_le_bytes());
+        payload[tag] = 1;
+        payload.splice(tag + 1..tag + 1, 5u32.to_le_bytes());
+
+        let bytes = framed(Snapshot::VERSION, SnapshotKind::Sharded, &payload);
+        let restored: ShardedOracle = Snapshot::restore(&bytes).expect("restores");
+        assert_eq!((oracle.halo_radius(), restored.halo_radius()), (3, 5));
+        assert_same_answers(&restored, &oracle);
+
+        payload[tag] = 2;
+        let bytes = framed(Snapshot::VERSION, SnapshotKind::Sharded, &payload);
+        assert!(matches!(
+            Snapshot::restore::<ShardedOracle>(&bytes).unwrap_err(),
+            SnapshotError::Wire(_)
+        ));
     }
 
     #[test]

@@ -47,9 +47,8 @@
 //! - [`server`] — the threaded server; [`Server::shutdown`] drains and
 //!   hands the warm service back (ready for
 //!   [`Snapshot::capture`](ftspan_oracle::Snapshot)). Stalled
-//!   connections are shed via [`ServerConfig::read_timeout`], and
-//!   [`ServerConfig::snapshot_interval`] drives a background capture
-//!   timer.
+//!   connections are shed via [`ServerConfig::read_timeout`]; clients pull
+//!   snapshots with the `SNAPSHOT` request.
 //! - [`replica`] — the snapshot-bootstrapped, journal-following
 //!   [`ReplicaServer`].
 //! - [`client`] — a minimal blocking [`Client`] for tests, benches, and

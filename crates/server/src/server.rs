@@ -86,13 +86,6 @@ pub struct ServerConfig {
     /// closed, freeing its handler thread. `None` disables the timeout
     /// (a stalled client then pins its handler until shutdown).
     pub read_timeout: Option<Duration>,
-    /// Interval of the background [`Snapshot::capture`] timer. When set,
-    /// a timer thread periodically captures the published epoch (off the
-    /// query path) into an in-memory cell readable via
-    /// [`Server::latest_snapshot`] — a crash leaves at most one interval
-    /// of churn unsnapshotted. `None` (the default) disables the timer;
-    /// clients can still pull snapshots through the `SNAPSHOT` request.
-    pub snapshot_interval: Option<Duration>,
     /// Largest [`Reply::SnapshotChunk`] data payload in a `SNAPSHOT`
     /// download (default 4 MiB). The capture is still one in-memory byte
     /// string, but neither the wire nor the client ever materializes a
@@ -107,7 +100,6 @@ impl Default for ServerConfig {
             rate_capacity: 0,
             rate_refill_per_sec: 0.0,
             read_timeout: Some(Duration::from_secs(30)),
-            snapshot_interval: None,
             snapshot_chunk_len: 4 * 1024 * 1024,
         }
     }
@@ -134,54 +126,6 @@ fn request_cost(request: &Request) -> f64 {
         | Request::Snapshot
         | Request::JournalSubscribe { .. }
         | Request::Promote => 1.0,
-    }
-}
-
-/// The most recent background snapshot, shared between the timer thread
-/// and [`Server::latest_snapshot`].
-#[derive(Debug, Default)]
-struct SnapshotStore {
-    latest: Mutex<Option<Vec<u8>>>,
-    captures: std::sync::atomic::AtomicU64,
-}
-
-impl SnapshotStore {
-    fn lock_latest(&self) -> std::sync::MutexGuard<'_, Option<Vec<u8>>> {
-        self.latest.lock().expect("snapshot store poisoned")
-    }
-}
-
-/// The background capture loop: sleeps on the timer condvar (so shutdown
-/// can wake it immediately), and on every elapsed interval captures the
-/// currently published epoch into the store. The capture itself runs
-/// without any lock held — it briefly pins the epoch, exactly like a
-/// `SNAPSHOT` download, so query rounds keep flowing.
-fn snapshot_timer_loop<O: SpannerOracle + Snapshottable + 'static>(
-    interval: Duration,
-    shutdown: &AtomicBool,
-    service: &OracleService<O>,
-    signal: &(Mutex<()>, std::sync::Condvar),
-    store: &SnapshotStore,
-) {
-    let (lock, cv) = signal;
-    let mut guard = lock.lock().expect("snapshot timer signal poisoned");
-    while !shutdown.load(Ordering::SeqCst) {
-        let (g, timeout) = cv
-            .wait_timeout(guard, interval)
-            .expect("snapshot timer signal poisoned");
-        guard = g;
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if timeout.timed_out() {
-            drop(guard);
-            let bytes = Snapshot::capture(&*service.oracle());
-            *store.lock_latest() = Some(bytes);
-            store
-                .captures
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            guard = lock.lock().expect("snapshot timer signal poisoned");
-        }
     }
 }
 
@@ -223,10 +167,6 @@ pub struct Server<O: SpannerOracle + 'static> {
     conns: Connections,
     handlers: Handlers,
     accept_thread: Option<thread::JoinHandle<()>>,
-    snapshot_thread: Option<thread::JoinHandle<()>>,
-    /// Wakes the snapshot timer early so shutdown never waits an interval.
-    timer_signal: Arc<(Mutex<()>, std::sync::Condvar)>,
-    snapshots: Arc<SnapshotStore>,
     role: Arc<RoleState>,
     service: Option<Arc<OracleService<O>>>,
 }
@@ -302,34 +242,12 @@ where
                 })?
         };
 
-        let timer_signal: Arc<(Mutex<()>, std::sync::Condvar)> = Arc::default();
-        let snapshots = Arc::new(SnapshotStore::default());
-        let snapshot_thread = match config.snapshot_interval {
-            Some(interval) => {
-                let shutdown = Arc::clone(&shutdown);
-                let service = Arc::clone(&service);
-                let signal = Arc::clone(&timer_signal);
-                let store = Arc::clone(&snapshots);
-                Some(
-                    thread::Builder::new()
-                        .name("ftspan-snapshot".into())
-                        .spawn(move || {
-                            snapshot_timer_loop(interval, &shutdown, &service, &signal, &store);
-                        })?,
-                )
-            }
-            None => None,
-        };
-
         Ok(Self {
             local_addr,
             shutdown,
             conns,
             handlers,
             accept_thread: Some(accept_thread),
-            snapshot_thread,
-            timer_signal,
-            snapshots,
             role,
             service: Some(service),
         })
@@ -358,22 +276,6 @@ where
         self.role.accepts_waves.load(Ordering::SeqCst)
     }
 
-    /// The most recent background snapshot, if the timer
-    /// ([`ServerConfig::snapshot_interval`]) has fired at least once.
-    /// The bytes restore exactly like a `SNAPSHOT` download.
-    #[must_use]
-    pub fn latest_snapshot(&self) -> Option<Vec<u8>> {
-        self.snapshots.lock_latest().clone()
-    }
-
-    /// How many background snapshots the timer has captured.
-    #[must_use]
-    pub fn snapshot_captures(&self) -> u64 {
-        self.snapshots
-            .captures
-            .load(std::sync::atomic::Ordering::SeqCst)
-    }
-
     /// The address the server is listening on.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
@@ -399,12 +301,12 @@ where
 }
 
 impl<O: SpannerOracle + 'static> Server<O> {
-    /// Stops the replication follower and joins the snapshot timer, wakes
-    /// and joins the accept thread, then closes every connection and joins
-    /// every handler (handlers observe the closed socket, finish their
-    /// in-flight request, and exit). The accept thread is joined before
-    /// the connections are closed, so no connection can register after
-    /// the close. Returns `false` if the timer or accept thread panicked.
+    /// Stops the replication follower, wakes and joins the accept thread,
+    /// then closes every connection and joins every handler (handlers
+    /// observe the closed socket, finish their in-flight request, and
+    /// exit). The accept thread is joined before the connections are
+    /// closed, so no connection can register after the close. Returns
+    /// `false` if the accept thread panicked.
     fn stop_threads(&mut self) -> bool {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(follower) = self
@@ -416,14 +318,10 @@ impl<O: SpannerOracle + 'static> Server<O> {
         {
             follower.stop_and_join();
         }
-        self.timer_signal.1.notify_all();
         let mut clean = true;
-        if let Some(timer) = self.snapshot_thread.take() {
-            clean &= timer.join().is_ok();
-        }
         if let Some(accept) = self.accept_thread.take() {
             wake_accept(self.local_addr);
-            clean &= accept.join().is_ok();
+            clean = accept.join().is_ok();
         }
         for (_, conn) in self.conns.lock().expect("connection list poisoned").drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);

@@ -89,5 +89,8 @@ fn main() {
         metrics.coalesced > 0,
         "hot-pool traffic must contain duplicates for the front-end to merge"
     );
-    assert_eq!(metrics.shed, 0, "no cooldown configured, nothing sheds");
+    assert_eq!(
+        metrics.shed, 0,
+        "the pending queue stays under its max_pending cap, nothing sheds"
+    );
 }

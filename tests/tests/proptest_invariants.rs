@@ -142,7 +142,7 @@ proptest! {
         shards in 1usize..5,
         seed in 0u64..1_000,
     ) {
-        let options = ShardPlanOptions { shards, seed, ..ShardPlanOptions::default() };
+        let options = ShardPlanOptions { shards, seed };
         let plan = ShardPlan::build(&graph, &options);
         prop_assert_eq!(plan.vertex_count(), graph.vertex_count());
         prop_assert!(plan.shard_count() >= 1 && plan.shard_count() <= shards);
@@ -172,7 +172,7 @@ proptest! {
         let spanner = poly_greedy_spanner(&graph, params).spanner;
         let plan = ShardPlan::build(
             &graph,
-            &ShardPlanOptions { shards, seed, ..ShardPlanOptions::default() },
+            &ShardPlanOptions { shards, seed },
         );
         let index = BoundaryIndex::build(&spanner, &plan);
         let mut expected = 0usize;
@@ -209,7 +209,7 @@ proptest! {
             graph,
             params,
             ShardedOptions {
-                plan: ShardPlanOptions { shards: 3, seed, ..ShardPlanOptions::default() },
+                plan: ShardPlanOptions { shards: 3, seed },
                 ..ShardedOptions::default()
             },
         );

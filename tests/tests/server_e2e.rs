@@ -250,7 +250,10 @@ fn server_answers_match_direct_backend_across_a_wave() {
         metrics.coalesced > 0,
         "duplicates must coalesce: {metrics:?}"
     );
-    assert_eq!(metrics.shed, 0, "no admission cooldown configured");
+    assert_eq!(
+        metrics.shed, 0,
+        "the pending queue never reached its max_pending cap"
+    );
 }
 
 /// A token bucket with zero refill is a hard per-connection budget: the
@@ -376,74 +379,6 @@ fn stalled_connection_is_shed_with_a_typed_timeout_reply() {
 
     // Prompt shutdown: the loris handler was freed by the timeout, not
     // parked inside `read_frame` until process exit.
-    let _ = server.shutdown();
-}
-
-/// The periodic snapshot timer: with `snapshot_interval` set, a background
-/// thread keeps capturing the published epoch into `latest_snapshot`; the
-/// newest capture restores to an oracle answering bit-identically, the
-/// timer keeps up with a wave, and shutdown joins the thread cleanly.
-#[test]
-fn periodic_snapshot_timer_captures_and_joins_on_shutdown() {
-    use std::time::Duration;
-
-    let mut direct = build_backend(7701);
-    let service = OracleService::new(build_backend(7701), ServiceConfig::default());
-    let config = ServerConfig {
-        snapshot_interval: Some(Duration::from_millis(15)),
-        ..ServerConfig::default()
-    };
-    let server = Server::start(service, "127.0.0.1:0", config).expect("server starts");
-    let addr = server.local_addr();
-
-    // Wait (bounded) for the first background capture.
-    let mut tries = 0;
-    while server.snapshot_captures() == 0 {
-        tries += 1;
-        assert!(tries < 200, "timer never captured");
-        thread::sleep(Duration::from_millis(5));
-    }
-    let bytes = server.latest_snapshot().expect("a capture is published");
-    let restored: ShardedOracle = Snapshot::restore(&bytes).expect("snapshot restores");
-    assert_eq!(restored.epoch(), direct.epoch());
-
-    // A wave lands over the wire; the next captures must pick up the new
-    // epoch without any client pulling `SNAPSHOT`.
-    let wave = {
-        let mut r = rng(7702);
-        sample_fault_set(direct.graph(), FaultModel::Vertex, 2, &[], &mut r)
-    };
-    let _ = SpannerOracle::apply_wave(&mut direct, &wave, &Default::default());
-    let mut probe = Client::connect(addr).expect("probe connects");
-    match probe.wave(wave).expect("WAVE served") {
-        Reply::Wave(summary) => assert_eq!(summary.epoch, direct.epoch()),
-        other => panic!("unexpected WAVE reply: {other:?}"),
-    }
-    let mut tries = 0;
-    loop {
-        let bytes = server.latest_snapshot().expect("captures continue");
-        let restored: ShardedOracle = Snapshot::restore(&bytes).expect("snapshot restores");
-        if restored.epoch() == direct.epoch() {
-            let check = workload(&direct, 7703);
-            let want = direct.answer_batch(&check);
-            let got = restored.answer_batch(&check);
-            for ((query, want), got) in check.iter().zip(&want).zip(&got) {
-                assert_eq!(
-                    want.distance().map(f64::to_bits),
-                    got.distance().map(f64::to_bits),
-                    "post-wave capture diverged for {query:?}"
-                );
-            }
-            break;
-        }
-        tries += 1;
-        assert!(tries < 200, "timer never caught the post-wave epoch");
-        thread::sleep(Duration::from_millis(5));
-    }
-
-    // Shutdown joins the timer thread; returning at all is the assertion.
-    let captures = server.snapshot_captures();
-    assert!(captures >= 1);
     let _ = server.shutdown();
 }
 
