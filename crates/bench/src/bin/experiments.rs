@@ -546,7 +546,6 @@ fn experiment_blocking() {
             let params = SpannerParams::vertex(k, f);
             let options = PolyGreedyOptions {
                 collect_certificates: true,
-                ..PolyGreedyOptions::default()
             };
             let result = poly_greedy_spanner_with(&g, params, &options);
             let blocking = blocking_set_from_certificates(&result);

@@ -135,7 +135,6 @@ impl SpannerBuilder {
             Algorithm::PolyGreedy => {
                 let options = PolyGreedyOptions {
                     collect_certificates: self.collect_certificates,
-                    ..PolyGreedyOptions::default()
                 };
                 Ok(poly_greedy_spanner_with(graph, self.params, &options))
             }

@@ -51,7 +51,7 @@ use std::time::Instant;
 
 use ftspan_graph::{EdgeId, Graph, VertexId};
 
-use crate::greedy_poly::{poly_greedy_spanner_with, EdgeOrder, PolyGreedyOptions};
+use crate::greedy_poly::{poly_greedy_spanner_with, PolyGreedyOptions};
 use crate::lbc::{decide_lbc_with, LbcDecision, LbcScratch};
 use crate::stats::{EdgeCertificate, SpannerResult, SpannerStats};
 use crate::SpannerParams;
@@ -69,7 +69,7 @@ pub struct ParallelGreedyOptions {
     /// dominate. Output is independent of this knob; it only trades
     /// conflict rate against synchronization.
     pub batch_size: usize,
-    /// The underlying greedy options (edge order, certificate collection).
+    /// The underlying greedy options (certificate collection).
     pub base: PolyGreedyOptions,
 }
 
@@ -113,10 +113,6 @@ pub struct SpeculationStats {
 /// spanner and certificates are bit-identical to
 /// [`poly_greedy_spanner_with`] with the
 /// same [`PolyGreedyOptions`], for every thread count and batch size.
-///
-/// # Panics
-///
-/// Panics if a custom edge order references an out-of-range edge.
 #[must_use]
 pub fn par_poly_greedy_spanner_with(
     graph: &Graph,
@@ -150,11 +146,7 @@ pub fn par_poly_greedy_spanner_traced(
         return (result, spec);
     }
     let start = Instant::now();
-    let order: Vec<EdgeId> = match &options.base.edge_order {
-        EdgeOrder::NondecreasingWeight => graph.edge_ids_by_weight(),
-        EdgeOrder::Insertion => graph.edge_ids().collect(),
-        EdgeOrder::Custom(order) => order.clone(),
-    };
+    let order = graph.edge_ids_by_weight();
     let t = params.stretch();
     let alpha = params.f();
     let model = params.fault_model();
@@ -585,7 +577,6 @@ mod tests {
                         batch_size: batch,
                         base: PolyGreedyOptions {
                             collect_certificates: true,
-                            ..PolyGreedyOptions::default()
                         },
                     };
                     assert_bit_identical(&g, SpannerParams::vertex(2, 1), &options);
@@ -604,7 +595,6 @@ mod tests {
             batch_size: 32,
             base: PolyGreedyOptions {
                 collect_certificates: true,
-                ..PolyGreedyOptions::default()
             },
         };
         assert_bit_identical(&weighted, SpannerParams::vertex(2, 2), &options);

@@ -14,35 +14,16 @@
 //! * **Size** (Theorem 8): at most `O(k · f^{1−1/k} · n^{1+1/k})` edges.
 //! * **Time** (Theorem 9): `O(m · k · f^{2−1/k} · n^{1+1/k})`.
 
-use std::time::Instant;
+use ftspan_graph::Graph;
 
-use ftspan_graph::{EdgeId, Graph};
-
-use crate::lbc::{decide_lbc_with, LbcDecision, LbcScratch};
-use crate::stats::{EdgeCertificate, SpannerResult, SpannerStats};
+use crate::repair::full_respan;
+use crate::stats::SpannerResult;
 use crate::SpannerParams;
 
-/// The order in which the greedy loop considers the input edges.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum EdgeOrder {
-    /// Nondecreasing weight (ties broken by insertion order). This is
-    /// Algorithm 4 and is **required for correctness on weighted graphs**.
-    #[default]
-    NondecreasingWeight,
-    /// Insertion order of the input graph. Valid for unweighted (unit-weight)
-    /// graphs, where Theorem 5 holds for an arbitrary order.
-    Insertion,
-    /// A caller-supplied permutation of the edge identifiers. Valid for
-    /// unweighted graphs; useful for ablation experiments on the effect of
-    /// ordering.
-    Custom(Vec<EdgeId>),
-}
-
-/// Options for [`poly_greedy_spanner_with`].
+/// Options for [`poly_greedy_spanner_with`] and the warm-start respan of
+/// [`crate::repair`], which run the same sweep.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PolyGreedyOptions {
-    /// Edge ordering (defaults to nondecreasing weight).
-    pub edge_order: EdgeOrder,
     /// When `true`, record the LBC certificate for every added edge (the sets
     /// `F_e` of Lemma 6). Adds memory proportional to `f · k` per spanner
     /// edge.
@@ -50,12 +31,12 @@ pub struct PolyGreedyOptions {
 }
 
 /// Builds an `f`-fault-tolerant `(2k − 1)`-spanner in polynomial time using
-/// the modified greedy algorithm with default options (weight ordering, no
-/// certificates).
+/// the modified greedy algorithm with default options (no certificates).
 ///
-/// This single entry point covers both Algorithm 3 (unweighted: the weight
-/// ordering degenerates to insertion order since all weights are 1) and
-/// Algorithm 4 (weighted).
+/// Edges are considered in nondecreasing weight order, ties broken by
+/// insertion order. This single entry point covers both Algorithm 3
+/// (unweighted: all weights are 1, so the order is insertion order) and
+/// Algorithm 4 (weighted, where the order is required for correctness).
 ///
 /// # Examples
 ///
@@ -68,10 +49,6 @@ pub struct PolyGreedyOptions {
 /// assert!(result.spanner.edge_count() < g.edge_count());
 /// assert_eq!(result.spanner.vertex_count(), 30);
 /// ```
-///
-/// # Panics
-///
-/// Panics if a custom edge order references an out-of-range edge.
 #[must_use]
 pub fn poly_greedy_spanner(graph: &Graph, params: SpannerParams) -> SpannerResult {
     poly_greedy_spanner_with(graph, params, &PolyGreedyOptions::default())
@@ -79,65 +56,24 @@ pub fn poly_greedy_spanner(graph: &Graph, params: SpannerParams) -> SpannerResul
 
 /// Builds the modified greedy spanner with explicit [`PolyGreedyOptions`].
 ///
-/// # Panics
-///
-/// Panics if a custom edge order references an out-of-range edge.
+/// The construction is the warm-start respan of [`crate::repair`] over every
+/// edge of `graph`, starting from the empty spanner `H = (V, ∅)`: with
+/// nothing to force-include, each edge in turn pays one LBC decision against
+/// the edges accepted before it. The returned spanner is compacted.
 #[must_use]
 pub fn poly_greedy_spanner_with(
     graph: &Graph,
     params: SpannerParams,
     options: &PolyGreedyOptions,
 ) -> SpannerResult {
-    let start = Instant::now();
-    let order: Vec<EdgeId> = match &options.edge_order {
-        EdgeOrder::NondecreasingWeight => graph.edge_ids_by_weight(),
-        EdgeOrder::Insertion => graph.edge_ids().collect(),
-        EdgeOrder::Custom(order) => order.clone(),
-    };
-    let t = params.stretch();
-    let alpha = params.f();
-    let model = params.fault_model();
-
-    let mut spanner = Graph::empty_like(graph);
-    let mut certificates = Vec::new();
-    let mut stats = SpannerStats {
-        algorithm: "poly-greedy",
-        input_vertices: graph.vertex_count(),
-        input_edges: graph.edge_count(),
-        ..SpannerStats::default()
-    };
-
-    // One incremental-engine scratch for the whole sweep: pooled fault
-    // views and BFS buffers, and a shared first-round tree across runs of
-    // same-source edges (weight ordering visits them consecutively on the
-    // common generators). Decisions are bit-identical to from-scratch
-    // `decide_lbc`; see `LbcScratch`.
-    let mut scratch = LbcScratch::new();
-    for edge_id in order {
-        let edge = graph.edge(edge_id);
-        let (u, v) = edge.endpoints();
-        let (decision, lbc_stats) = decide_lbc_with(&mut scratch, &spanner, model, u, v, t, alpha);
-        stats.lbc_calls += 1;
-        stats.bfs_runs += lbc_stats.bfs_runs;
-        if let LbcDecision::Yes(cut) = decision {
-            let spanner_edge = spanner.add_edge(u.index(), v.index(), edge.weight());
-            if options.collect_certificates {
-                certificates.push(EdgeCertificate {
-                    input_edge: edge_id,
-                    spanner_edge,
-                    cut,
-                });
-            }
-        }
-    }
-
-    stats.spanner_edges = spanner.edge_count();
-    stats.elapsed = start.elapsed();
+    let outcome = full_respan(graph, &Graph::empty_like(graph), params, options);
+    let mut stats = outcome.stats;
+    stats.algorithm = "poly-greedy";
     SpannerResult {
-        spanner,
+        spanner: outcome.spanner,
         params,
         stats,
-        certificates,
+        certificates: outcome.certificates,
     }
 }
 
@@ -251,7 +187,6 @@ mod tests {
         let params = SpannerParams::vertex(2, 1);
         let options = PolyGreedyOptions {
             collect_certificates: true,
-            ..PolyGreedyOptions::default()
         };
         let result = poly_greedy_spanner_with(&g, params, &options);
         assert_eq!(result.certificates.len(), result.spanner.edge_count());
@@ -274,7 +209,6 @@ mod tests {
         let g = generators::complete(10);
         let options = PolyGreedyOptions {
             collect_certificates: true,
-            ..PolyGreedyOptions::default()
         };
         let result = poly_greedy_spanner_with(&g, SpannerParams::vertex(2, 1), &options);
         let first = &result.certificates[0];
@@ -282,24 +216,6 @@ mod tests {
         let (u, v) = g.edge(first.input_edge).endpoints();
         let empty = Graph::empty_like(&g);
         assert!(is_length_bounded_cut(&empty, &first.cut, u, v, 3));
-    }
-
-    #[test]
-    fn insertion_and_custom_orders_also_give_valid_spanners_on_unweighted() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = generators::connected_gnp(15, 0.35, &mut rng);
-        let params = SpannerParams::vertex(2, 1);
-        let mut reversed: Vec<EdgeId> = g.edge_ids().collect();
-        reversed.reverse();
-        for order in [EdgeOrder::Insertion, EdgeOrder::Custom(reversed)] {
-            let options = PolyGreedyOptions {
-                edge_order: order,
-                collect_certificates: false,
-            };
-            let result = poly_greedy_spanner_with(&g, params, &options);
-            let report = verify_spanner(&g, &result.spanner, params, VerificationMode::Exhaustive);
-            assert!(report.is_valid());
-        }
     }
 
     #[test]

@@ -87,8 +87,6 @@ pub use greedy_par::{
     par_poly_greedy_spanner_traced, par_poly_greedy_spanner_with, ParallelGreedyOptions,
     SpeculationStats,
 };
-pub use greedy_poly::{
-    poly_greedy_spanner, poly_greedy_spanner_with, EdgeOrder, PolyGreedyOptions,
-};
+pub use greedy_poly::{poly_greedy_spanner, poly_greedy_spanner_with, PolyGreedyOptions};
 pub use params::{FaultModel, SpannerParams};
 pub use stats::{EdgeCertificate, SpannerResult, SpannerStats};

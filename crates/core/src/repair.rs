@@ -1,10 +1,9 @@
-//! Incremental repair hooks for online serving layers.
+//! The modified greedy's sweep, as a warm-start respan.
 //!
 //! An online system (see the `ftspan-oracle` crate) keeps a spanner `H` of a
 //! live graph `G` while `G` loses vertices and edges to churn. Rebuilding `H`
-//! from scratch after every fault wave would be correct but wasteful; this
-//! module exposes the modified greedy's inner loop as a **warm-start respan**
-//! primitive instead:
+//! from scratch after every fault wave would be correct but wasteful; the
+//! sweep here starts from the current spanner instead:
 //!
 //! * existing spanner edges are force-included, interleaved into the greedy's
 //!   nondecreasing-weight sweep at their weight positions, and
@@ -17,8 +16,9 @@
 //! most `f` leaves a `(2k − 1)`-hop path among strictly-lighter edges already
 //! swept, and that witness survives in every supergraph. A respan over **all**
 //! edges of `G` therefore restores the full `f`-fault-tolerant spanner
-//! property no matter how damaged `H` was — the escalation path a serving
-//! layer falls back to when localized repair was not enough.
+//! property no matter how damaged `H` was. From the empty spanner it is the
+//! construction itself: [`poly_greedy_spanner_with`](crate::poly_greedy_spanner_with)
+//! is [`full_respan`] from `H = (V, ∅)`.
 
 use std::time::Instant;
 
@@ -26,19 +26,18 @@ use ftspan_graph::{EdgeId, Graph, VertexId};
 
 use crate::lbc::{decide_lbc_with, LbcDecision, LbcScratch};
 use crate::stats::{EdgeCertificate, SpannerStats};
-use crate::{FaultSet, SpannerParams};
+use crate::{FaultSet, PolyGreedyOptions, SpannerParams};
 
-/// Pooled state for repeated repair passes: the per-wave buffers of
-/// [`respan_candidates`] plus the incremental [`LbcScratch`] engine its
-/// candidate decisions run on.
+/// Pooled state for repeated sweeps: the sweep-event vector and candidate
+/// dedup marks of [`respan_candidates`], plus the incremental [`LbcScratch`]
+/// engine its candidate decisions run on.
 ///
-/// Without pooling, every respan call allocated a sweep-event vector and a
-/// `seen` bitmap sized by the **graph's** edge count — per-wave heap churn
-/// proportional to the graph, not the damage — and every candidate decision
-/// allocated its own fault view and BFS buffers on top. A serving layer
+/// The event vector and the marks are sized by the **graph's** edge count,
+/// and every decision needs fault views and BFS buffers. A serving layer
 /// holds one `RepairScratch` and threads it through every wave
-/// ([`respan_candidates_with`]); the steady-state wave then allocates only
-/// for its outputs (the rebuilt spanner and any certificates).
+/// ([`respan_candidates_with`]), so a steady-state wave allocates only for
+/// its outputs (the rebuilt spanner and any certificates). One-shot calls,
+/// construction included, use a fresh scratch.
 #[derive(Debug, Default)]
 pub struct RepairScratch {
     lbc: LbcScratch,
@@ -56,15 +55,6 @@ impl RepairScratch {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Options for [`respan_candidates`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RepairOptions {
-    /// When `true`, record the LBC certificate for every edge the repair
-    /// adds, mirroring
-    /// [`PolyGreedyOptions::collect_certificates`](crate::PolyGreedyOptions).
-    pub collect_certificates: bool,
 }
 
 /// Result of one repair pass.
@@ -113,7 +103,7 @@ pub fn respan_candidates(
     spanner: &Graph,
     params: SpannerParams,
     candidates: &[EdgeId],
-    options: &RepairOptions,
+    options: &PolyGreedyOptions,
 ) -> RepairOutcome {
     respan_candidates_with(
         &mut RepairScratch::new(),
@@ -142,7 +132,7 @@ pub fn respan_candidates_with(
     spanner: &Graph,
     params: SpannerParams,
     candidates: &[EdgeId],
-    options: &RepairOptions,
+    options: &PolyGreedyOptions,
 ) -> RepairOutcome {
     assert_eq!(
         graph.vertex_count(),
@@ -246,7 +236,7 @@ pub fn full_respan(
     graph: &Graph,
     spanner: &Graph,
     params: SpannerParams,
-    options: &RepairOptions,
+    options: &PolyGreedyOptions,
 ) -> RepairOutcome {
     full_respan_with(&mut RepairScratch::new(), graph, spanner, params, options)
 }
@@ -259,7 +249,7 @@ pub fn full_respan_with(
     graph: &Graph,
     spanner: &Graph,
     params: SpannerParams,
-    options: &RepairOptions,
+    options: &PolyGreedyOptions,
 ) -> RepairOutcome {
     let all: Vec<EdgeId> = graph.edge_ids().collect();
     respan_candidates_with(scratch, graph, spanner, params, &all, options)
@@ -309,7 +299,7 @@ pub fn candidate_endpoints(graph: &Graph, candidates: &[EdgeId]) -> Vec<VertexId
 mod tests {
     use super::*;
     use crate::verify::{verify_spanner, VerificationMode};
-    use crate::{poly_greedy_spanner, poly_greedy_spanner_with, PolyGreedyOptions};
+    use crate::{poly_greedy_spanner, poly_greedy_spanner_with};
     use ftspan_graph::{generators, vid};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -321,7 +311,7 @@ mod tests {
         let params = SpannerParams::vertex(2, 1);
         let fresh = poly_greedy_spanner(&g, params);
         let empty = Graph::empty_like(&g);
-        let repaired = full_respan(&g, &empty, params, &RepairOptions::default());
+        let repaired = full_respan(&g, &empty, params, &PolyGreedyOptions::default());
         assert_eq!(repaired.spanner.edge_count(), fresh.spanner.edge_count());
         assert_eq!(repaired.edges_added(), fresh.spanner.edge_count());
         for (_, e) in fresh.spanner.edges() {
@@ -343,7 +333,7 @@ mod tests {
             .filter(|e| e.index() % 2 == 0)
             .collect();
         let damaged = built.spanner.edge_subgraph(keep);
-        let repaired = full_respan(&g, &damaged, params, &RepairOptions::default());
+        let repaired = full_respan(&g, &damaged, params, &PolyGreedyOptions::default());
         // Every surviving edge is still there...
         assert!(damaged.is_edge_subgraph_of(&repaired.spanner));
         // ...and the repaired spanner is valid again.
@@ -357,7 +347,7 @@ mod tests {
         let g = generators::connected_gnp(18, 0.3, &mut rng);
         let params = SpannerParams::vertex(2, 1);
         let built = poly_greedy_spanner(&g, params);
-        let repaired = full_respan(&g, &built.spanner, params, &RepairOptions::default());
+        let repaired = full_respan(&g, &built.spanner, params, &PolyGreedyOptions::default());
         // A valid f-FT spanner already witnesses every candidate, so the
         // warm-start sweep must decline them all.
         assert_eq!(repaired.edges_added(), 0);
@@ -377,7 +367,7 @@ mod tests {
             .filter(|e| e.index() % 3 != 0)
             .collect();
         let damaged = built.spanner.edge_subgraph(keep);
-        let repaired = full_respan(&g, &damaged, params, &RepairOptions::default());
+        let repaired = full_respan(&g, &damaged, params, &PolyGreedyOptions::default());
         let report = verify_spanner(&g, &repaired.spanner, params, VerificationMode::Exhaustive);
         assert!(report.is_valid(), "violations: {:?}", report.violations);
     }
@@ -393,7 +383,7 @@ mod tests {
             &built.spanner,
             params,
             &candidates,
-            &RepairOptions::default(),
+            &PolyGreedyOptions::default(),
         );
         // Only candidates not already in the spanner are decided.
         let fresh: usize = candidates
@@ -412,7 +402,7 @@ mod tests {
         let g = generators::complete(10);
         let params = SpannerParams::vertex(2, 1);
         let empty = Graph::empty_like(&g);
-        let options = RepairOptions {
+        let options = PolyGreedyOptions {
             collect_certificates: true,
         };
         let out = full_respan(&g, &empty, params, &options);
@@ -430,7 +420,6 @@ mod tests {
         let params = SpannerParams::vertex(2, 2);
         let options = PolyGreedyOptions {
             collect_certificates: true,
-            ..PolyGreedyOptions::default()
         };
         let built = poly_greedy_spanner_with(&g, params, &options);
         let nonempty: Vec<_> = built
@@ -479,7 +468,7 @@ mod tests {
                 .collect();
             let damaged = built.spanner.edge_subgraph(keep);
             let candidates: Vec<EdgeId> = g.edge_ids().collect();
-            let options = RepairOptions {
+            let options = PolyGreedyOptions {
                 collect_certificates: true,
             };
             let reference = respan_candidates(&g, &damaged, params, &candidates, &options);
@@ -506,7 +495,7 @@ mod tests {
             &g,
             &h,
             SpannerParams::vertex(2, 1),
-            &RepairOptions::default(),
+            &PolyGreedyOptions::default(),
         );
     }
 }

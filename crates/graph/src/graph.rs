@@ -147,15 +147,25 @@ impl Graph {
         &self.csr_adj[start..end]
     }
 
-    /// Merges the pending append buffers into the CSR core.
+    /// Merges the pending append buffers into the CSR core and drops the
+    /// edge table's growth slack.
     ///
     /// After compaction every vertex's neighbors form one contiguous slice
     /// sorted by neighbor id, [`Graph::edge_between`] is a pure binary
-    /// search, and traversals touch no per-vertex heap allocations. Calling
-    /// this on an already-compacted graph is a no-op. Compaction never
-    /// changes vertex or edge identifiers, weights, or any query answer —
-    /// only the memory layout and neighbor iteration order.
+    /// search, traversals touch no per-vertex heap allocations, and the
+    /// graph holds no spare capacity, so [`Graph::memory_bytes`] depends only
+    /// on `n` and `m`, not on how the graph was grown. Calling this on an
+    /// already-compacted graph is a no-op. Compaction never changes vertex
+    /// or edge identifiers, weights, or any query answer — only the memory
+    /// layout and neighbor iteration order.
     pub fn compact(&mut self) {
+        self.merge_pending();
+        self.edges.shrink_to_fit();
+    }
+
+    /// The CSR merge of [`Graph::compact`], without the trim: incremental
+    /// construction keeps the edge table's reservation between merges.
+    fn merge_pending(&mut self) {
         if self.pending_edges == 0 {
             return;
         }
@@ -357,7 +367,7 @@ impl Graph {
         // O((n + m) log m).
         let compacted = self.edges.len() - self.pending_edges;
         if self.pending_edges >= 64 && self.pending_edges >= compacted {
-            self.compact();
+            self.merge_pending();
         }
         Ok(id)
     }

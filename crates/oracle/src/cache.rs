@@ -107,16 +107,6 @@ impl<'a> KeyRef<'a> {
         }
     }
 
-    /// Rebuilds a borrowed key from a fingerprint computed earlier (batch
-    /// grouping computes it once per group and reuses it per query).
-    #[must_use]
-    pub fn with_fingerprint(fingerprint: u64, faults: &'a FaultSet) -> Self {
-        Self {
-            fingerprint,
-            faults,
-        }
-    }
-
     /// The fault-set fingerprint.
     #[inline]
     #[must_use]
@@ -189,12 +179,12 @@ struct CacheSlot {
 ///
 /// Lookup cost: a linear scan of a **dense `u64` fingerprint array** (one
 /// word per cached fault set, exact key confirmation only on a fingerprint
-/// hit). At serving capacities — the default is 128 fault sets, and a few
+/// hit). At serving capacities — the oracles use 128 fault sets, and a few
 /// thousand is typical headroom — this is faster than a hash map probe and
-/// keeps eviction clone-free; a pathologically large `cache_capacity`
-/// (hundreds of thousands) would pay O(capacity) per lookup under the cache
-/// mutex, so capacity should scale with the number of *concurrently hot*
-/// fault sets, not the total ever seen.
+/// keeps eviction clone-free; a pathologically large capacity (hundreds of
+/// thousands) would pay O(capacity) per lookup under the cache mutex, so
+/// capacity should scale with the number of *concurrently hot* fault sets,
+/// not the total ever seen.
 #[derive(Debug)]
 pub struct TreeCache {
     capacity: usize,
@@ -422,7 +412,11 @@ mod tests {
         // fingerprint.
         let other = FaultSet::vertices([vid(2)]);
         assert!(!owned.matches(&KeyRef::new(&other)));
-        assert!(!owned.matches(&KeyRef::with_fingerprint(owned.fingerprint(), &other)));
+        let forged = KeyRef {
+            fingerprint: owned.fingerprint(),
+            faults: &other,
+        };
+        assert!(!owned.matches(&forged));
     }
 
     #[test]

@@ -26,11 +26,11 @@ use std::time::{Duration, Instant};
 
 use ftspan::repair::{
     candidate_endpoints, certificates_touching, full_respan_with, respan_candidates_with,
-    RepairOptions, RepairScratch,
+    RepairScratch,
 };
 use ftspan::verify::{verify_spanner_with, VerificationMode};
 use ftspan::wire::encode_fault_set;
-use ftspan::{EdgeCertificate, FaultSet};
+use ftspan::{EdgeCertificate, FaultSet, PolyGreedyOptions};
 use ftspan_graph::bfs::BfsScratch;
 use ftspan_graph::dijkstra::DijkstraScratch;
 use ftspan_graph::wire::{fnv1a64, WireWriter};
@@ -241,7 +241,7 @@ impl FaultOracle {
         // 4. Localized repair on the incremental LBC engine.
         let candidates =
             neighborhood_candidates_with(&mut scratch.bfs, &new_graph, &all_seeds, radius);
-        let repair_options = RepairOptions {
+        let repair_options = PolyGreedyOptions {
             collect_certificates: self.options.collect_certificates,
         };
         let mut outcome = respan_candidates_with(
@@ -578,7 +578,6 @@ impl ShardedOracle {
                 std::sync::Arc::new(Region::build(
                     self.global.graph(),
                     self.global.spanner(),
-                    &self.options.oracle,
                     &members,
                 ))
             });

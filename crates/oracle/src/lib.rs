@@ -13,9 +13,10 @@
 //!   on `H ∖ F` for an arbitrary fault set `F`, backed by an LRU
 //!   [`cache`] of per-fault-set shortest-path trees keyed by
 //!   the `O(|F|)` fingerprint from `ftspan-graph`;
-//! * [`FaultOracle::answer_batch`] answers a mixed query batch on the
-//!   calling thread, grouping queries by fault set so each group reuses
-//!   both the thread's Dijkstra scratch buffers and the shared tree cache;
+//! * [`FaultOracle::answer_batch`] answers a mixed query batch in request
+//!   order on the calling thread, exactly as [`FaultOracle::answer`] would
+//!   answer each query in turn, reusing the thread's Dijkstra scratch
+//!   buffers and the shared tree cache;
 //! * [`FaultOracle::apply_wave`] drives **churn**: permanent damage arrives
 //!   as fault waves, broken stretch pairs are detected around the damage,
 //!   and the spanner is repaired by re-running the modified greedy on the

@@ -6,25 +6,23 @@ use ftspan::{
     poly_greedy_spanner_with, EdgeCertificate, FaultSet, PolyGreedyOptions, SpannerParams,
     SpannerResult,
 };
-use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
+use ftspan_graph::dijkstra::DijkstraScratch;
 use ftspan_graph::{Graph, VertexId};
 
 use crate::cache::{CachedTree, KeyRef, TreeCache};
 use crate::metrics::OracleMetrics;
 use crate::query::{Answer, Query, QueryKind};
 
-/// Configuration of a [`FaultOracle`].
+/// Fault sets whose shortest-path trees each tree store keeps (LRU). Lookups
+/// scan a dense per-fault-set fingerprint array, so this counts the
+/// *concurrently hot* fault sets, not the total ever observed; see
+/// [`TreeCache`] for the cost model.
+pub(crate) const CACHE_CAPACITY: usize = 128;
+
+/// Configuration of a [`FaultOracle`]. Every tree store caches the trees of
+/// the 128 most recently used fault sets.
 #[derive(Clone, Debug)]
 pub struct OracleOptions {
-    /// Maximum number of fault sets whose shortest-path trees stay cached
-    /// (LRU). `0` disables caching entirely — every query recomputes, which
-    /// is the baseline the `oracle` bench compares against.
-    ///
-    /// Lookups scan a dense per-fault-set fingerprint array, so size this to
-    /// the number of *concurrently hot* fault sets (hundreds to a few
-    /// thousand), not the total ever observed — see
-    /// [`TreeCache`](crate::TreeCache) for the cost model.
-    pub cache_capacity: usize,
     /// Record LBC certificates during construction and repair. Certificates
     /// let the churn loop seed localized repair from the spots where the
     /// spanner's redundancy was thinnest; disable to save memory.
@@ -34,7 +32,6 @@ pub struct OracleOptions {
 impl Default for OracleOptions {
     fn default() -> Self {
         Self {
-            cache_capacity: 128,
             collect_certificates: true,
         }
     }
@@ -51,17 +48,15 @@ impl Default for OracleOptions {
 /// and answer exactly as before.
 #[derive(Debug)]
 pub(crate) struct TreeStore {
-    capacity: usize,
     cache: Mutex<TreeCache>,
     metrics: OracleMetrics,
 }
 
 impl TreeStore {
-    /// An empty store sized by `options`.
-    pub(crate) fn new(options: &OracleOptions) -> Self {
+    /// An empty store holding up to [`CACHE_CAPACITY`] fault sets.
+    pub(crate) fn new() -> Self {
         Self {
-            capacity: options.cache_capacity,
-            cache: Mutex::new(TreeCache::new(options.cache_capacity)),
+            cache: Mutex::new(TreeCache::new(CACHE_CAPACITY)),
             metrics: OracleMetrics::default(),
         }
     }
@@ -104,15 +99,15 @@ impl TreeStore {
         escape: &[VertexId],
         scratch: &mut DijkstraScratch,
     ) -> (Arc<CachedTree>, bool) {
-        if self.capacity > 0 {
+        let hit = {
             let mut cache = self.lock();
-            let hit = match either {
+            match either {
                 Some(other) => cache.get_either_ref(key, root, other),
                 None => cache.get_ref(key, root),
-            };
-            if let Some(tree) = hit {
-                return (tree, true);
             }
+        };
+        if let Some(tree) = hit {
+            return (tree, true);
         }
         (
             self.compute(spanner, edge_ids, key, root, escape, scratch),
@@ -143,10 +138,8 @@ impl TreeStore {
         };
         let cached = Arc::new(CachedTree::new(tree, escape));
         self.metrics.record_tree_built();
-        if self.capacity > 0 {
-            self.lock()
-                .insert(key.to_owned_key(), root, Arc::clone(&cached));
-        }
+        self.lock()
+            .insert(key.to_owned_key(), root, Arc::clone(&cached));
         cached
     }
 
@@ -220,7 +213,6 @@ impl FaultOracle {
     pub fn build(graph: Graph, params: SpannerParams, options: OracleOptions) -> Self {
         let build_options = PolyGreedyOptions {
             collect_certificates: options.collect_certificates,
-            ..PolyGreedyOptions::default()
         };
         let result = poly_greedy_spanner_with(&graph, params, &build_options);
         Self::from_result(graph, result, options)
@@ -249,7 +241,7 @@ impl FaultOracle {
             graph,
             spanner,
             params: result.params,
-            trees: TreeStore::new(&options),
+            trees: TreeStore::new(),
             options,
             certificates: result.certificates,
             damage_vertices: Vec::new(),
@@ -349,9 +341,8 @@ impl FaultOracle {
         Some((answer.distance?, answer.path?))
     }
 
-    /// Answers one query. For batches prefer
-    /// [`FaultOracle::answer_batch`](crate::batch), which groups queries by
-    /// fault set so each group shares its cached trees.
+    /// Answers one query; [`FaultOracle::answer_batch`](crate::batch)
+    /// answers a slice of them in order.
     #[must_use]
     pub fn answer(&self, query: &Query) -> Answer {
         with_query_scratch(|scratch| self.answer_with_scratch(query, scratch))
@@ -368,8 +359,11 @@ impl FaultOracle {
     }
 
     /// Like [`FaultOracle::answer_with_scratch`] but with the cache key
-    /// already derived — the batch path computes one fingerprint per
-    /// fault-set group and reuses it per query.
+    /// already derived. Fetches the cached shortest-path tree rooted at
+    /// either endpoint, or computes (and caches) one rooted at `u`: the graph
+    /// is undirected, so hot-source traffic hits on `u` and symmetric repeat
+    /// traffic hits on `v`. Edge-fault ids name edges of
+    /// [`FaultOracle::graph`].
     pub(crate) fn answer_with_key(
         &self,
         u: VertexId,
@@ -378,22 +372,17 @@ impl FaultOracle {
         key: &KeyRef<'_>,
         scratch: &mut DijkstraScratch,
     ) -> Answer {
-        let (cached, cache_hit) = self.tree_for(key, u, v, scratch);
-        self.answer_from_tree(u, v, kind, &cached.tree, cache_hit)
-    }
-
-    /// Reads one answer off an already-resolved tree rooted at `u` or `v`.
-    /// The batch path holds the group's last tree and short-circuits the
-    /// cache lookup entirely when consecutive queries share a root.
-    pub(crate) fn answer_from_tree(
-        &self,
-        u: VertexId,
-        v: VertexId,
-        kind: QueryKind,
-        tree: &ShortestPathTree,
-        cache_hit: bool,
-    ) -> Answer {
+        let (cached, cache_hit) = self.trees.tree(
+            &self.spanner,
+            Some(&self.graph),
+            key,
+            u,
+            Some(v),
+            &[],
+            scratch,
+        );
         self.metrics().record_query(cache_hit);
+        let tree = &cached.tree;
         let root = tree.source();
         let other = if root == u { v } else { u };
 
@@ -414,29 +403,6 @@ impl FaultOracle {
             path,
             cache_hit,
         }
-    }
-
-    /// Fetches a cached shortest-path tree rooted at either endpoint of the
-    /// query, or computes (and caches) one rooted at `u`. The graph is
-    /// undirected, so a tree rooted at either endpoint answers the pair;
-    /// hot-source traffic hits on `u`, symmetric repeat traffic hits on `v`.
-    /// Edge-fault ids name edges of [`FaultOracle::graph`].
-    pub(crate) fn tree_for(
-        &self,
-        key: &KeyRef<'_>,
-        u: VertexId,
-        v: VertexId,
-        scratch: &mut DijkstraScratch,
-    ) -> (Arc<CachedTree>, bool) {
-        self.trees.tree(
-            &self.spanner,
-            Some(&self.graph),
-            key,
-            u,
-            Some(v),
-            &[],
-            scratch,
-        )
     }
 
     /// Drops every cached tree and bumps the epoch; called by every
@@ -534,23 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_capacity_zero_never_hits() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let graph = generators::connected_gnp(16, 0.3, &mut rng);
-        let options = OracleOptions {
-            cache_capacity: 0,
-            ..OracleOptions::default()
-        };
-        let oracle = FaultOracle::build(graph, SpannerParams::vertex(2, 1), options);
-        let faults = FaultSet::vertices([vid(2)]);
-        for _ in 0..3 {
-            let a = oracle.answer(&Query::distance(vid(0), vid(5), faults.clone()));
-            assert!(!a.cache_hit);
-        }
-        assert_eq!(oracle.metrics().snapshot().trees_built, 3);
-    }
-
-    #[test]
     fn edge_fault_queries_translate_to_the_spanner() {
         let mut rng = StdRng::seed_from_u64(7);
         let graph = generators::connected_gnp(18, 0.35, &mut rng);
@@ -615,7 +564,7 @@ mod tests {
         graph.compact();
         let oracle =
             FaultOracle::build(graph, SpannerParams::vertex(2, 1), OracleOptions::default());
-        let empty_cache = TreeCache::new(oracle.options.cache_capacity).memory_bytes();
+        let empty_cache = TreeCache::new(CACHE_CAPACITY).memory_bytes();
         assert_eq!(
             oracle.memory_bytes(),
             oracle.graph().memory_bytes() + oracle.spanner().memory_bytes() + empty_cache

@@ -254,12 +254,7 @@ pub(crate) struct Region {
 impl Region {
     /// Extracts the region on `members` (sorted global ids) from the global
     /// spanner. The global effective graph is read only for the signature.
-    pub(crate) fn build(
-        graph: &Graph,
-        spanner: &Graph,
-        options: &OracleOptions,
-        members: &[VertexId],
-    ) -> Self {
+    pub(crate) fn build(graph: &Graph, spanner: &Graph, members: &[VertexId]) -> Self {
         let signature = region_signature(graph, spanner, members);
         let remap = IdRemap::from_members(spanner.vertex_count(), members);
         let local_count = remap.local_count();
@@ -284,7 +279,7 @@ impl Region {
             .collect();
         Self {
             spanner: local_spanner,
-            trees: TreeStore::new(options),
+            trees: TreeStore::new(),
             remap,
             frontier,
             signature,
@@ -478,7 +473,6 @@ pub(crate) fn build_regions(
     global: &FaultOracle,
     plan: &ShardPlan,
     halo_radius: u32,
-    options: &OracleOptions,
 ) -> Vec<Arc<Region>> {
     let members: Vec<Vec<VertexId>> = (0..plan.shard_count())
         .map(|s| global.spanner().halo_members(plan.core(s), halo_radius))
@@ -488,7 +482,7 @@ pub(crate) fn build_regions(
         .map(|s| (0..s).find(|&t| members[t] == members[s]).unwrap_or(s))
         .collect();
     let distinct: Vec<usize> = (0..members.len()).filter(|&s| owner[s] == s).collect();
-    let build = |s: usize| Region::build(global.graph(), global.spanner(), options, &members[s]);
+    let build = |s: usize| Region::build(global.graph(), global.spanner(), &members[s]);
     let build = &build;
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let built: Vec<Region> = if cores > 1 && distinct.len() > 1 {
@@ -778,7 +772,6 @@ impl ShardedOracle {
     ) -> Self {
         let build_options = PolyGreedyOptions {
             collect_certificates: options.oracle.collect_certificates,
-            ..PolyGreedyOptions::default()
         };
         let result = poly_greedy_spanner_with(&graph, params, &build_options);
         Self::from_result(graph, result, plan, options)
@@ -826,7 +819,7 @@ impl ShardedOracle {
     ) -> Self {
         let boundary_plan = grouping.as_ref().map_or(&plan, |g| &g.plan);
         let boundary = BoundaryIndex::build(global.spanner(), boundary_plan);
-        let regions = build_regions(&global, &plan, halo_radius, &options.oracle);
+        let regions = build_regions(&global, &plan, halo_radius);
         Self {
             global,
             plan,
@@ -1063,12 +1056,7 @@ impl ShardedOracle {
     pub(crate) fn pair_region(&self, a: u32, b: u32) -> Arc<Region> {
         self.pair_regions
             .get_or_stitch(&self.regions, a, b, |members| {
-                Region::build(
-                    self.global.graph(),
-                    self.global.spanner(),
-                    &self.options.oracle,
-                    members,
-                )
+                Region::build(self.global.graph(), self.global.spanner(), members)
             })
     }
 }
@@ -1402,7 +1390,7 @@ mod tests {
             options,
         );
         let empty_cache =
-            crate::cache::TreeCache::new(oracle.options.oracle.cache_capacity).memory_bytes();
+            crate::cache::TreeCache::new(crate::oracle::CACHE_CAPACITY).memory_bytes();
         let mut expected = oracle.global().memory_bytes() + oracle.boundary().memory_bytes();
         let mut seen: Vec<*const Region> = Vec::new();
         for region in &oracle.regions {

@@ -63,7 +63,7 @@ use ftspan_graph::wire::{fnv1a64, WireError, WireReader, WireWriter};
 use ftspan_graph::{vid, Graph, VertexId};
 
 use crate::hierarchy::ShardGrouping;
-use crate::oracle::{FaultOracle, OracleOptions, TreeStore};
+use crate::oracle::{FaultOracle, OracleOptions, TreeStore, CACHE_CAPACITY};
 use crate::shard::{
     ShardPlan, ShardPlanOptions, ShardedOptions, ShardedOracle, PARTITIONS, SHIFT_BETA,
 };
@@ -298,24 +298,23 @@ impl Snapshot {
     }
 }
 
-/// Writes the oracle options. The second slot held a batch worker count and
-/// the last a cache namespace in earlier builds; they are written as `0` and
-/// skipped on read, so the format (and [`Snapshot::VERSION`]) stays as it
-/// was.
+/// Writes the oracle options. The first slot held a cache capacity, the
+/// second a batch worker count and the last a cache namespace in earlier
+/// builds; they are written as the fixed capacity and `0`, and skipped on
+/// read, so the format (and [`Snapshot::VERSION`]) stays as it was.
 fn encode_oracle_options(options: &OracleOptions, w: &mut WireWriter) {
-    w.put_len(options.cache_capacity);
+    w.put_len(CACHE_CAPACITY);
     w.put_len(0);
     w.put_u8(u8::from(options.collect_certificates));
     w.put_u64(0);
 }
 
 fn decode_oracle_options(r: &mut WireReader<'_>) -> Result<OracleOptions, SnapshotError> {
-    let cache_capacity = r.len(0)?;
+    let _retired_cache_capacity = r.len(0)?;
     let _retired_workers = r.len(0)?;
     let collect_certificates = r.u8()? != 0;
     let _retired_namespace = r.u64()?;
     Ok(OracleOptions {
-        cache_capacity,
         collect_certificates,
     })
 }
@@ -387,7 +386,7 @@ impl Snapshottable for FaultOracle {
             graph,
             spanner,
             params,
-            trees: TreeStore::new(&options),
+            trees: TreeStore::new(),
             options,
             certificates,
             damage_vertices,

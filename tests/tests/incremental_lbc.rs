@@ -16,8 +16,8 @@
 //!   the `added` delta, or the decision counters.
 
 use ftspan::lbc::{decide_lbc, decide_lbc_with, LbcScratch};
-use ftspan::repair::{respan_candidates, respan_candidates_with, RepairOptions, RepairScratch};
-use ftspan::{poly_greedy_spanner, FaultModel, SpannerParams};
+use ftspan::repair::{respan_candidates, respan_candidates_with, RepairScratch};
+use ftspan::{poly_greedy_spanner, FaultModel, PolyGreedyOptions, SpannerParams};
 use ftspan_graph::{generators, vid, EdgeId, Graph};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -131,7 +131,7 @@ proptest! {
             .collect();
         let damaged = built.spanner.edge_subgraph(keep);
         let candidates: Vec<EdgeId> = g.edge_ids().collect();
-        let options = RepairOptions::default();
+        let options = PolyGreedyOptions::default();
 
         let reference = respan_candidates(&g, &damaged, params, &candidates, &options);
 

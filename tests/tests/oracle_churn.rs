@@ -192,7 +192,7 @@ fn ten_thousand_query_batch_on_thousand_node_graph_respects_stretch() {
         }
     }
 
-    // The grouped batch over a small fault-set pool must hit the cache hard.
+    // A batch over a small fault-set pool must hit the cache hard.
     let snapshot = oracle.metrics().snapshot();
     assert_eq!(snapshot.queries, 10_000);
     assert!(

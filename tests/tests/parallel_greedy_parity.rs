@@ -18,7 +18,6 @@ const N: usize = 2_000;
 fn assert_bit_identical(family: &str, graph: &Graph, params: SpannerParams) {
     let base = PolyGreedyOptions {
         collect_certificates: true,
-        ..PolyGreedyOptions::default()
     };
     let sequential = poly_greedy_spanner_with(graph, params, &base);
     let parallel = par_poly_greedy_spanner_with(

@@ -220,3 +220,28 @@ fn snapshot_kind_is_sniffable() {
     assert!(Snapshot::restore::<ShardedOracle>(&single).is_err());
     assert!(Snapshot::restore::<FaultOracle>(&sharded).is_err());
 }
+
+/// A built oracle holds exactly the memory of its snapshot-restored twin,
+/// after the build and after a wave: the graphs serving holds carry no
+/// growth slack from construction or repair, so `memory_bytes()` depends
+/// only on what is served, not on how it was grown.
+#[test]
+fn restored_twin_holds_the_same_memory() {
+    let churn = ChurnConfig::default();
+    let mut single = single_oracle(4108);
+    let mut sharded = sharded_oracle(4108);
+    let mut r = rng(16);
+    for stage in ["built", "after one wave"] {
+        let twin: FaultOracle = Snapshot::restore(&Snapshot::capture(&single)).unwrap();
+        assert_eq!(single.memory_bytes(), twin.memory_bytes(), "single {stage}");
+        let twin: ShardedOracle = Snapshot::restore(&Snapshot::capture(&sharded)).unwrap();
+        assert_eq!(
+            sharded.memory_bytes(),
+            twin.memory_bytes(),
+            "sharded {stage}"
+        );
+        let wave = sample_fault_set(single.graph(), FaultModel::Vertex, 3, &[], &mut r);
+        single.apply_wave(&wave, &churn);
+        sharded.apply_wave(&wave, &churn);
+    }
+}

@@ -16,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use ftspan::repair::{respan_candidates_with, RepairOptions, RepairScratch};
-use ftspan::{FaultSet, SpannerParams};
+use ftspan::repair::{respan_candidates_with, RepairScratch};
+use ftspan::{FaultSet, PolyGreedyOptions, SpannerParams};
 use ftspan_graph::{generators, vid, EdgeId};
 use ftspan_oracle::{
     ChurnConfig, FaultOracle, OracleOptions, Query, ShardPlanOptions, ShardedOptions, ShardedOracle,
@@ -153,7 +153,7 @@ fn steady_state_respan_allocates_for_outputs_only() {
         .collect();
     let damaged = built.spanner.edge_subgraph(keep);
     let candidates: Vec<EdgeId> = graph.edge_ids().collect();
-    let options = RepairOptions::default();
+    let options = PolyGreedyOptions::default();
 
     let mut scratch = RepairScratch::new();
     let cold = count_allocations(|| {
