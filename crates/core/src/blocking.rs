@@ -25,7 +25,7 @@ pub struct BlockingSet {
 impl BlockingSet {
     /// Creates a blocking set from explicit pairs.
     #[must_use]
-    pub fn from_pairs<I: IntoIterator<Item = (VertexId, EdgeId)>>(pairs: I) -> Self {
+    fn from_pairs<I: IntoIterator<Item = (VertexId, EdgeId)>>(pairs: I) -> Self {
         let mut pairs: Vec<_> = pairs.into_iter().collect();
         pairs.sort_unstable();
         pairs.dedup();
@@ -79,7 +79,7 @@ pub fn lemma6_size_bound(spanner_edges: usize, k: u32, f: u32) -> usize {
 /// order starting from its smallest vertex. Exponential in `max_len`;
 /// intended for the small instances used by tests and experiment E11.
 #[must_use]
-pub fn enumerate_short_cycles(graph: &Graph, max_len: usize) -> Vec<Vec<VertexId>> {
+fn enumerate_short_cycles(graph: &Graph, max_len: usize) -> Vec<Vec<VertexId>> {
     let mut cycles = Vec::new();
     let mut path: Vec<VertexId> = Vec::new();
     let mut on_path = vec![false; graph.vertex_count()];

@@ -35,16 +35,6 @@ pub fn poly_greedy_size_bound(n: usize, k: u32, f: u32) -> f64 {
     f64::from(k.max(1)) * optimal_ft_size_bound(n, k, f)
 }
 
-/// Running-time bound of the modified greedy algorithm (Theorem 9):
-/// `O(m · k · f^{2−1/k} · n^{1+1/k})`, reported in units of elementary BFS
-/// edge relaxations.
-#[must_use]
-pub fn poly_greedy_time_bound(n: usize, m: usize, k: u32, f: u32) -> f64 {
-    let k_f = f64::from(k.max(1));
-    let f_f = f64::from(f.max(1));
-    (m as f64) * k_f * f_f.powf(2.0 - 1.0 / k_f) * (n as f64).powf(1.0 + 1.0 / k_f)
-}
-
 /// Size bound of the Dinitz–Krauthgamer construction (Theorem 13 with
 /// `g(n) = n^{1+1/k}`): `O(f^{2−1/k} · n^{1+1/k} · log n)`.
 #[must_use]
@@ -161,17 +151,9 @@ mod tests {
             congest_round_bound(0, 1, 0),
             baswana_sen_size_bound(0, 1),
             baswana_sen_round_bound(0),
-            poly_greedy_time_bound(0, 0, 1, 0),
         ] {
             assert!(func.is_finite());
             assert!(func >= 0.0);
         }
-    }
-
-    #[test]
-    fn time_bound_is_linear_in_m() {
-        let t1 = poly_greedy_time_bound(100, 200, 2, 2);
-        let t2 = poly_greedy_time_bound(100, 400, 2, 2);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
     }
 }

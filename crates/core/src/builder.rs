@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use crate::baswana_sen::baswana_sen_spanner;
 use crate::dk::{dk_spanner, dk_spanner_baswana_sen};
 use crate::error::Result;
-use crate::greedy_exact::{exact_greedy_spanner_with, ExactGreedyOptions};
+use crate::greedy_exact::exact_greedy_spanner;
 use crate::greedy_poly::{poly_greedy_spanner_with, PolyGreedyOptions};
 use crate::nonft::greedy_spanner;
 use crate::stats::SpannerResult;
@@ -53,7 +53,6 @@ pub struct SpannerBuilder {
     algorithm: Algorithm,
     seed: u64,
     collect_certificates: bool,
-    exact_budget: u128,
 }
 
 impl SpannerBuilder {
@@ -70,7 +69,6 @@ impl SpannerBuilder {
             algorithm: Algorithm::default(),
             seed: 0xF75A_2020,
             collect_certificates: false,
-            exact_budget: ExactGreedyOptions::default().enumeration_budget,
         }
     }
 
@@ -110,13 +108,6 @@ impl SpannerBuilder {
         self
     }
 
-    /// Sets the fault-set enumeration budget of the exact greedy algorithm.
-    #[must_use]
-    pub fn exact_enumeration_budget(mut self, budget: u128) -> Self {
-        self.exact_budget = budget;
-        self
-    }
-
     /// The parameters the builder currently targets.
     #[must_use]
     pub fn params(&self) -> SpannerParams {
@@ -138,12 +129,7 @@ impl SpannerBuilder {
                 };
                 Ok(poly_greedy_spanner_with(graph, self.params, &options))
             }
-            Algorithm::ExactGreedy => {
-                let options = ExactGreedyOptions {
-                    enumeration_budget: self.exact_budget,
-                };
-                exact_greedy_spanner_with(graph, self.params, &options)
-            }
+            Algorithm::ExactGreedy => exact_greedy_spanner(graph, self.params),
             Algorithm::ClassicGreedy => Ok(greedy_spanner(graph, self.params.k())),
             Algorithm::BaswanaSen => Ok(baswana_sen_spanner(graph, self.params.k(), &mut rng)),
             Algorithm::DinitzKrauthgamer => Ok(dk_spanner(
@@ -225,16 +211,6 @@ mod tests {
             .unwrap();
         assert_eq!(result.params.fault_model(), FaultModel::Edge);
         assert_eq!(result.certificates.len(), result.spanner.edge_count());
-    }
-
-    #[test]
-    fn exact_budget_is_forwarded() {
-        let g = generators::complete(25);
-        let err = SpannerBuilder::new(2, 3)
-            .algorithm(Algorithm::ExactGreedy)
-            .exact_enumeration_budget(5)
-            .build(&g);
-        assert!(err.is_err());
     }
 
     #[test]

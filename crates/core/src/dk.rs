@@ -25,59 +25,47 @@ use crate::nonft::greedy_spanner;
 use crate::stats::{SpannerResult, SpannerStats};
 use crate::SpannerParams;
 
-/// Tuning knobs for the Dinitz–Krauthgamer construction.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DkOptions {
-    /// Per-iteration participation probability. `None` uses the paper's
-    /// `1/f`, except that `f = 1` (where `1/f = 1` would never exclude the
-    /// faulty vertex) falls back to `1/2`.
-    pub participation_probability: Option<f64>,
-    /// The construction repeats until the union bound over all
-    /// `m · n^f` (pair, fault-set) combinations leaves failure probability at
-    /// most `n^{-failure_exponent}`. Larger values mean more iterations and a
-    /// larger (but safer) spanner. Asymptotically the iteration count is the
-    /// paper's `O(f³ log n)`.
-    pub failure_exponent: f64,
-    /// Hard cap on the number of iterations, as a safety valve.
-    pub max_iterations: usize,
-}
+/// The construction repeats until the union bound over all `m · n^f`
+/// (pair, fault-set) combinations leaves failure probability at most
+/// `n^{-FAILURE_EXPONENT}`. Asymptotically the iteration count is the
+/// paper's `O(f³ log n)`.
+const FAILURE_EXPONENT: f64 = 1.0;
 
-impl Default for DkOptions {
-    fn default() -> Self {
-        Self {
-            participation_probability: None,
-            failure_exponent: 1.0,
-            max_iterations: 100_000,
-        }
-    }
-}
+/// Hard cap on the number of iterations, as a safety valve.
+const MAX_ITERATIONS: usize = 100_000;
 
 /// Computes the number of iterations needed so that, by a union bound over at
 /// most `m · n^f` (edge, fault set) pairs, every pair is covered by some
-/// iteration with probability at least `1 − n^{−c}`.
+/// iteration with probability at least `1 − n^{−1}`, capped at 100 000.
 #[must_use]
-pub fn dk_iteration_count(n: usize, m: usize, f: u32, options: &DkOptions) -> usize {
+pub fn dk_iteration_count(n: usize, m: usize, f: u32) -> usize {
     if n < 2 {
         return 1;
     }
-    let p = participation_probability(f, options);
+    let p = participation_probability(f);
     let f_f = f64::from(f);
     // Probability that a fixed iteration contains both endpoints and misses
     // every one of the f faults.
     let per_iteration = p * p * (1.0 - p).powf(f_f);
     if per_iteration <= 0.0 {
-        return options.max_iterations;
+        return MAX_ITERATIONS;
     }
     let n_f = n as f64;
-    let ln_combos = (m.max(1) as f64).ln() + f_f * n_f.ln() + options.failure_exponent * n_f.ln();
+    let ln_combos = (m.max(1) as f64).ln() + f_f * n_f.ln() + FAILURE_EXPONENT * n_f.ln();
     let needed = (ln_combos / per_iteration).ceil() as usize;
-    needed.clamp(1, options.max_iterations)
+    needed.clamp(1, MAX_ITERATIONS)
 }
 
-fn participation_probability(f: u32, options: &DkOptions) -> f64 {
-    options
-        .participation_probability
-        .unwrap_or(if f <= 1 { 0.5 } else { 1.0 / f64::from(f) })
+/// Per-iteration participation probability of a vertex: the paper's `1/f`,
+/// except that `f ≤ 1` (where `1/f = 1` would never exclude the faulty
+/// vertex) uses `1/2`.
+#[must_use]
+pub fn participation_probability(f: u32) -> f64 {
+    if f <= 1 {
+        0.5
+    } else {
+        1.0 / f64::from(f)
+    }
 }
 
 /// Runs the Dinitz–Krauthgamer framework with an arbitrary inner spanner
@@ -91,15 +79,7 @@ fn participation_probability(f: u32, options: &DkOptions) -> f64 {
 ///
 /// Panics if `k == 0` or the inner algorithm returns a graph with a different
 /// vertex count than its input.
-#[must_use]
-pub fn dk_spanner_with<R, S>(
-    graph: &Graph,
-    k: u32,
-    f: u32,
-    options: &DkOptions,
-    mut inner: S,
-    rng: &mut R,
-) -> SpannerResult
+fn dk_spanner_with<R, S>(graph: &Graph, k: u32, f: u32, mut inner: S, rng: &mut R) -> SpannerResult
 where
     R: Rng + ?Sized,
     S: FnMut(&Graph, u32, &mut R) -> Graph,
@@ -108,8 +88,8 @@ where
     let start = Instant::now();
     let n = graph.vertex_count();
     let m = graph.edge_count();
-    let p = participation_probability(f, options);
-    let iterations = dk_iteration_count(n, m, f, options);
+    let p = participation_probability(f);
+    let iterations = dk_iteration_count(n, m, f);
 
     let mut spanner = Graph::empty_like(graph);
     let mut stats = SpannerStats {
@@ -170,14 +150,7 @@ where
 /// centralized choice, `g(n) = O(n^{1+1/k})`).
 #[must_use]
 pub fn dk_spanner<R: Rng + ?Sized>(graph: &Graph, k: u32, f: u32, rng: &mut R) -> SpannerResult {
-    dk_spanner_with(
-        graph,
-        k,
-        f,
-        &DkOptions::default(),
-        |g, k, _| greedy_spanner(g, k).spanner,
-        rng,
-    )
+    dk_spanner_with(graph, k, f, |g, k, _| greedy_spanner(g, k).spanner, rng)
 }
 
 /// Dinitz–Krauthgamer instantiated with Baswana–Sen as the inner algorithm —
@@ -194,7 +167,6 @@ pub fn dk_spanner_baswana_sen<R: Rng + ?Sized>(
         graph,
         k,
         f,
-        &DkOptions::default(),
         |g, k, rng| baswana_sen_spanner(g, k, rng).spanner,
         rng,
     );
@@ -213,21 +185,22 @@ mod tests {
 
     #[test]
     fn iteration_count_grows_with_f_and_n() {
-        let options = DkOptions::default();
-        let base = dk_iteration_count(100, 500, 1, &options);
-        assert!(dk_iteration_count(100, 500, 3, &options) > base);
-        assert!(dk_iteration_count(1000, 500, 1, &options) > base);
-        assert_eq!(dk_iteration_count(1, 0, 2, &options), 1);
+        let base = dk_iteration_count(100, 500, 1);
+        assert!(dk_iteration_count(100, 500, 3) > base);
+        assert!(dk_iteration_count(1000, 500, 1) > base);
+        assert_eq!(dk_iteration_count(1, 0, 2), 1);
     }
 
     #[test]
-    fn zero_probability_hits_the_iteration_cap() {
-        let options = DkOptions {
-            participation_probability: Some(0.0),
-            max_iterations: 77,
-            ..DkOptions::default()
-        };
-        assert_eq!(dk_iteration_count(50, 100, 2, &options), 77);
+    fn iteration_count_is_capped() {
+        assert_eq!(dk_iteration_count(1000, 5000, 50), MAX_ITERATIONS);
+    }
+
+    #[test]
+    fn participation_is_one_over_f_but_half_at_f_one() {
+        assert_eq!(participation_probability(0), 0.5);
+        assert_eq!(participation_probability(1), 0.5);
+        assert_eq!(participation_probability(4), 0.25);
     }
 
     #[test]
@@ -280,29 +253,6 @@ mod tests {
         let dk = dk_spanner(&g, 2, 3, &mut rng);
         let greedy = crate::poly_greedy_spanner(&g, SpannerParams::vertex(2, 3));
         assert!(dk.spanner.edge_count() >= greedy.spanner.edge_count());
-    }
-
-    #[test]
-    fn custom_participation_probability_is_respected() {
-        let mut rng = StdRng::seed_from_u64(45);
-        let g = generators::complete(12);
-        let options = DkOptions {
-            participation_probability: Some(1.0),
-            failure_exponent: 0.5,
-            max_iterations: 3,
-        };
-        // With p = 1 every vertex participates each iteration, so the union
-        // equals the inner spanner of the full graph.
-        let result = dk_spanner_with(
-            &g,
-            2,
-            2,
-            &options,
-            |g, k, _| greedy_spanner(g, k).spanner,
-            &mut rng,
-        );
-        let direct = greedy_spanner(&g, 2);
-        assert_eq!(result.spanner.edge_count(), direct.spanner.edge_count());
     }
 
     #[test]

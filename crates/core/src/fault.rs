@@ -116,49 +116,37 @@ impl FaultSet {
 
     /// Applies this fault set to a graph, producing the view `G \ F`.
     ///
-    /// Edge faults are matched *by endpoints*, not by raw edge id, so a fault
-    /// set built from the input graph `G` can be applied to a spanner `H`
-    /// whose edge ids differ. Faulted edges missing from the target graph are
-    /// silently ignored (they cannot hurt it).
+    /// Edge fault ids are read as ids of `graph` itself; to apply a set
+    /// built on another graph, carry it over with
+    /// [`FaultSet::translate_edges`] first. Vertex and edge ids out of range
+    /// for `graph` are ignored (serving layers accept client-supplied fault
+    /// sets that may be stale).
     #[must_use]
     pub fn apply<'g>(&self, graph: &'g Graph) -> FaultView<'g> {
         let mut view = FaultView::new(graph);
-        self.apply_to(&mut view);
-        view
-    }
-
-    /// Applies this fault set to an existing view of a graph.
-    ///
-    /// See [`FaultSet::apply`] for the edge-matching semantics. Vertex faults
-    /// beyond the view's vertex range are ignored.
-    pub fn apply_to(&self, view: &mut FaultView<'_>) {
         match self {
             FaultSet::Vertices(vs) => {
                 for &v in vs {
-                    if v.index() < view.graph().vertex_count() {
+                    if v.index() < graph.vertex_count() {
                         view.block_vertex(v);
                     }
                 }
             }
             FaultSet::Edges(es) => {
-                // Edge ids are only meaningful relative to the graph they came
-                // from. The contract used throughout this crate is that edge
-                // fault ids refer to the *input* graph G; we translate them to
-                // the target graph by endpoints when applying to a different
-                // graph is needed. Here ids within range are applied directly.
                 for &e in es {
-                    if e.index() < view.graph().edge_count() {
+                    if e.index() < graph.edge_count() {
                         view.block_edge(e);
                     }
                 }
             }
         }
+        view
     }
 
     /// Re-expresses an edge fault set (whose ids refer to `source`) as edge
     /// ids of `target`, matching by endpoints and dropping edges `target`
     /// does not contain. Ids out of range for `source` are dropped too
-    /// (mirroring the tolerance of [`FaultSet::apply_to`] — serving layers
+    /// (mirroring the tolerance of [`FaultSet::apply`] — serving layers
     /// accept client-supplied fault sets that may be stale). Vertex fault
     /// sets are returned unchanged.
     #[must_use]

@@ -123,7 +123,7 @@ pub fn decide_vertex_lbc(
 ///
 /// Panics if `u` or `v` is out of range for `graph`.
 #[must_use]
-pub fn decide_edge_lbc(
+fn decide_edge_lbc(
     graph: &Graph,
     u: VertexId,
     v: VertexId,
@@ -330,7 +330,7 @@ pub fn decide_vertex_lbc_with(
 ///
 /// Panics if `u` or `v` is out of range for `graph`.
 #[must_use]
-pub fn decide_edge_lbc_with(
+fn decide_edge_lbc_with(
     scratch: &mut LbcScratch,
     graph: &Graph,
     u: VertexId,

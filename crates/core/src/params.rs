@@ -124,13 +124,6 @@ impl SpannerParams {
     pub fn fault_model(&self) -> FaultModel {
         self.fault_model
     }
-
-    /// Returns `true` for the degenerate non-fault-tolerant case `f = 0`.
-    #[inline]
-    #[must_use]
-    pub fn is_fault_free(&self) -> bool {
-        self.f == 0
-    }
 }
 
 impl fmt::Display for SpannerParams {
@@ -167,8 +160,10 @@ mod tests {
 
     #[test]
     fn zero_f_is_fault_free() {
-        assert!(SpannerParams::vertex(2, 0).is_fault_free());
-        assert!(!SpannerParams::vertex(2, 1).is_fault_free());
+        // f = 0 is the plain (non-fault-tolerant) spanner, a valid input.
+        let p = SpannerParams::new(2, 0).unwrap();
+        assert_eq!(p.f(), 0);
+        assert_eq!(p.stretch(), 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@ const TAG_VERTEX: u8 = 0;
 const TAG_EDGE: u8 = 1;
 
 /// Encodes a fault model as one tag byte.
-pub fn encode_fault_model(model: FaultModel, w: &mut WireWriter) {
+fn encode_fault_model(model: FaultModel, w: &mut WireWriter) {
     w.put_u8(match model {
         FaultModel::Vertex => TAG_VERTEX,
         FaultModel::Edge => TAG_EDGE,
@@ -27,7 +27,7 @@ pub fn encode_fault_model(model: FaultModel, w: &mut WireWriter) {
 }
 
 /// Decodes a fault model tag byte.
-pub fn decode_fault_model(r: &mut WireReader<'_>) -> Result<FaultModel, WireError> {
+fn decode_fault_model(r: &mut WireReader<'_>) -> Result<FaultModel, WireError> {
     match r.u8()? {
         TAG_VERTEX => Ok(FaultModel::Vertex),
         TAG_EDGE => Ok(FaultModel::Edge),

@@ -21,7 +21,7 @@
 //! measure the *actual* worst per-edge iteration multiplicity, and charge
 //! `max_rounds_of_any_iteration × max_edge_multiplicity` rounds for phase 2.
 
-use ftspan::dk::{dk_iteration_count, DkOptions};
+use ftspan::dk::{dk_iteration_count, participation_probability};
 use ftspan::{SpannerParams, SpannerStats};
 use ftspan_graph::{Graph, VertexId};
 use rand::Rng;
@@ -29,26 +29,7 @@ use rand::Rng;
 use crate::congest_bs::congest_baswana_sen;
 use crate::local_spanner::DistributedSpannerResult;
 use crate::metrics::RoundStats;
-
-/// Options for [`congest_ft_spanner_with`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CongestFtOptions {
-    /// Options of the underlying Dinitz–Krauthgamer sampling (participation
-    /// probability, target failure probability, iteration cap).
-    pub dk: DkOptions,
-    /// Number of words that fit in one CONGEST message (used for the phase-1
-    /// bit-packing round count).
-    pub words_per_message: usize,
-}
-
-impl Default for CongestFtOptions {
-    fn default() -> Self {
-        Self {
-            dk: DkOptions::default(),
-            words_per_message: 3,
-        }
-    }
-}
+use crate::runtime::Model;
 
 /// Detailed accounting of a Theorem 15 run, on top of the common result.
 #[derive(Clone, Debug)]
@@ -68,7 +49,7 @@ pub struct CongestFtResult {
     pub max_iteration_rounds: usize,
 }
 
-/// Runs the Theorem 15 construction with default options.
+/// Runs the Theorem 15 construction.
 ///
 /// # Examples
 ///
@@ -87,17 +68,6 @@ pub struct CongestFtResult {
 pub fn congest_ft_spanner<R: Rng + ?Sized>(
     graph: &Graph,
     params: SpannerParams,
-    rng: &mut R,
-) -> CongestFtResult {
-    congest_ft_spanner_with(graph, params, &CongestFtOptions::default(), rng)
-}
-
-/// Runs the Theorem 15 construction with explicit options.
-#[must_use]
-pub fn congest_ft_spanner_with<R: Rng + ?Sized>(
-    graph: &Graph,
-    params: SpannerParams,
-    options: &CongestFtOptions,
     rng: &mut R,
 ) -> CongestFtResult {
     let n = graph.vertex_count();
@@ -133,12 +103,8 @@ pub fn congest_ft_spanner_with<R: Rng + ?Sized>(
         };
     }
 
-    let iterations = dk_iteration_count(n, m, f, &options.dk);
-    let participation = options.dk.participation_probability.unwrap_or(if f <= 1 {
-        0.5
-    } else {
-        1.0 / f64::from(f)
-    });
+    let iterations = dk_iteration_count(n, m, f);
+    let participation = participation_probability(f);
 
     // Phase 1: every vertex picks its iterations locally.
     let mut chosen: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -150,11 +116,13 @@ pub fn congest_ft_spanner_with<R: Rng + ?Sized>(
         }
     }
     // Round cost of announcing the lists to neighbours: each index takes
-    // log2(iterations) bits; one message carries words_per_message words of
+    // log2(iterations) bits; one message carries the CONGEST word budget of
     // log2(n) bits each.
+    let words_per_message = Model::congest()
+        .word_limit()
+        .expect("CONGEST bounds the message size");
     let bits_per_index = (iterations.max(2) as f64).log2().ceil().max(1.0);
-    let bits_per_message =
-        (options.words_per_message as f64) * (n.max(2) as f64).log2().ceil().max(1.0);
+    let bits_per_message = (words_per_message as f64) * (n.max(2) as f64).log2().ceil().max(1.0);
     let longest_list = chosen.iter().map(Vec::len).max().unwrap_or(0);
     let phase1_rounds = ((longest_list as f64) * bits_per_index / bits_per_message).ceil() as usize;
 

@@ -48,8 +48,7 @@ impl Partition {
 
     /// Returns `true` if both endpoints of the edge lie in the same cluster.
     #[must_use]
-    pub fn covers_edge(&self, graph: &Graph, u: VertexId, v: VertexId) -> bool {
-        let _ = graph;
+    fn covers_edge(&self, u: VertexId, v: VertexId) -> bool {
         self.center_of[u.index()] == self.center_of[v.index()]
     }
 
@@ -107,7 +106,7 @@ impl Decomposition {
     pub fn covers_all_edges(&self, graph: &Graph) -> bool {
         graph.edges().all(|(_, e)| {
             let (u, v) = e.endpoints();
-            self.partitions.iter().any(|p| p.covers_edge(graph, u, v))
+            self.partitions.iter().any(|p| p.covers_edge(u, v))
         })
     }
 
@@ -121,7 +120,7 @@ impl Decomposition {
             .edges()
             .filter(|(_, e)| {
                 let (u, v) = e.endpoints();
-                self.partitions.iter().any(|p| p.covers_edge(graph, u, v))
+                self.partitions.iter().any(|p| p.covers_edge(u, v))
             })
             .count();
         covered as f64 / graph.edge_count() as f64

@@ -47,12 +47,7 @@ pub mod metrics;
 pub mod runtime;
 
 pub use congest_bs::congest_baswana_sen;
-pub use congest_ft::{
-    congest_ft_spanner, congest_ft_spanner_with, CongestFtOptions, CongestFtResult,
-};
+pub use congest_ft::{congest_ft_spanner, CongestFtResult};
 pub use decomposition::{padded_decomposition, Decomposition, DecompositionOptions, Partition};
-pub use local_spanner::{
-    local_ft_spanner, local_ft_spanner_with, ClusterAlgorithm, DistributedSpannerResult,
-    LocalSpannerOptions,
-};
+pub use local_spanner::{local_ft_spanner, DistributedSpannerResult};
 pub use metrics::RoundStats;

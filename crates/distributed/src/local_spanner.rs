@@ -11,43 +11,17 @@
 //! The decomposition flood is executed in the round engine; the convergecast
 //! and broadcast are charged at their exact tree depth (`2·diameter + 2`
 //! rounds) while their content — which the LOCAL model lets the center learn
-//! wholesale — is computed directly from the induced subgraph. The per-cluster
-//! centralized construction defaults to the paper's polynomial-time modified
-//! greedy and can be switched to the exact greedy of Algorithm 1 (what the
-//! paper literally prescribes, at exponential local-computation cost).
+//! wholesale — is computed directly from the induced subgraph. Each cluster
+//! center runs the paper's polynomial-time modified greedy (Algorithms 3/4),
+//! which loses a factor `k` in the per-cluster size bound against the exact
+//! greedy of Algorithm 1 but keeps local computation polynomial.
 
-use ftspan::{
-    exact_greedy_spanner_with, poly_greedy_spanner, ExactGreedyOptions, SpannerParams,
-    SpannerResult, SpannerStats,
-};
+use ftspan::{poly_greedy_spanner, SpannerParams, SpannerStats};
 use ftspan_graph::Graph;
 use rand::Rng;
 
-use crate::decomposition::{padded_decomposition, Decomposition, DecompositionOptions};
+use crate::decomposition::{padded_decomposition, DecompositionOptions};
 use crate::metrics::RoundStats;
-
-/// Which centralized construction each cluster center runs on its gathered
-/// subgraph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClusterAlgorithm {
-    /// The paper's polynomial-time modified greedy (Algorithms 3/4). Loses a
-    /// factor `k` in the per-cluster size bound but keeps local computation
-    /// polynomial.
-    #[default]
-    PolyGreedy,
-    /// The exact greedy of Algorithm 1, as stated in Theorem 12 (LOCAL allows
-    /// unbounded local computation). Exponential in `f`; keep clusters small.
-    ExactGreedy,
-}
-
-/// Options for [`local_ft_spanner_with`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LocalSpannerOptions {
-    /// Decomposition parameters (Theorem 11).
-    pub decomposition: DecompositionOptions,
-    /// Per-cluster centralized construction.
-    pub cluster_algorithm: ClusterAlgorithm,
-}
 
 /// Result of a distributed spanner construction.
 #[derive(Clone, Debug)]
@@ -64,7 +38,7 @@ pub struct DistributedSpannerResult {
     pub partitions: usize,
 }
 
-/// Runs the LOCAL-model construction with default options.
+/// Runs the LOCAL-model construction.
 ///
 /// # Examples
 ///
@@ -85,19 +59,8 @@ pub fn local_ft_spanner<R: Rng + ?Sized>(
     params: SpannerParams,
     rng: &mut R,
 ) -> DistributedSpannerResult {
-    local_ft_spanner_with(graph, params, &LocalSpannerOptions::default(), rng)
-}
-
-/// Runs the LOCAL-model construction with explicit options.
-#[must_use]
-pub fn local_ft_spanner_with<R: Rng + ?Sized>(
-    graph: &Graph,
-    params: SpannerParams,
-    options: &LocalSpannerOptions,
-    rng: &mut R,
-) -> DistributedSpannerResult {
     // 1. Padded decomposition (distributed flood, Theorem 11).
-    let decomposition = padded_decomposition(graph, &options.decomposition, rng);
+    let decomposition = padded_decomposition(graph, &DecompositionOptions::default(), rng);
 
     // 2. Per-cluster gather → centralized greedy → scatter.
     let mut spanner = Graph::empty_like(graph);
@@ -118,7 +81,7 @@ pub fn local_ft_spanner_with<R: Rng + ?Sized>(
             if induced.edge_count() == 0 {
                 continue;
             }
-            let cluster_result = run_cluster_algorithm(&induced, params, options.cluster_algorithm);
+            let cluster_result = poly_greedy_spanner(&induced, params);
             local_work.lbc_calls += cluster_result.stats.lbc_calls;
             local_work.bfs_runs += cluster_result.stats.bfs_runs;
             local_work.fault_sets_enumerated += cluster_result.stats.fault_sets_enumerated;
@@ -151,46 +114,6 @@ pub fn local_ft_spanner_with<R: Rng + ?Sized>(
     }
 }
 
-/// Exposes the decomposition used by [`local_ft_spanner_with`] so experiments
-/// can report its properties alongside the spanner.
-#[must_use]
-pub fn decompose<R: Rng + ?Sized>(
-    graph: &Graph,
-    options: &DecompositionOptions,
-    rng: &mut R,
-) -> Decomposition {
-    padded_decomposition(graph, options, rng)
-}
-
-fn run_cluster_algorithm(
-    induced: &Graph,
-    params: SpannerParams,
-    algorithm: ClusterAlgorithm,
-) -> SpannerResult {
-    match algorithm {
-        ClusterAlgorithm::PolyGreedy => poly_greedy_spanner(induced, params),
-        ClusterAlgorithm::ExactGreedy => {
-            let options = ExactGreedyOptions {
-                enumeration_budget: 2_000_000,
-            };
-            exact_greedy_spanner_with(induced, params, &options).unwrap_or_else(|_| {
-                // Fall back to the polynomial algorithm when the cluster is
-                // too dense for exact enumeration; the result is still a
-                // valid fault-tolerant spanner, only a factor k larger.
-                poly_greedy_spanner(induced, params)
-            })
-        }
-    }
-}
-
-/// Returns `true` when a decomposition covering every edge guarantees the
-/// fault-tolerance property of the union spanner; used by tests to tie the
-/// correctness argument of Theorem 12 to the observed decomposition.
-#[must_use]
-pub fn union_correctness_precondition(graph: &Graph, decomposition: &Decomposition) -> bool {
-    decomposition.covers_all_edges(graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,20 +132,6 @@ mod tests {
         let report = verify_spanner(&g, &result.spanner, params, VerificationMode::Exhaustive);
         assert!(report.is_valid(), "violations: {:?}", report.violations);
         assert!(result.spanner.is_edge_subgraph_of(&g));
-    }
-
-    #[test]
-    fn exact_cluster_algorithm_also_yields_a_valid_spanner() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::connected_gnp(14, 0.3, &mut rng);
-        let params = SpannerParams::vertex(2, 1);
-        let options = LocalSpannerOptions {
-            cluster_algorithm: ClusterAlgorithm::ExactGreedy,
-            ..LocalSpannerOptions::default()
-        };
-        let result = local_ft_spanner_with(&g, params, &options, &mut rng);
-        let report = verify_spanner(&g, &result.spanner, params, VerificationMode::Exhaustive);
-        assert!(report.is_valid(), "violations: {:?}", report.violations);
     }
 
     #[test]
@@ -267,8 +176,8 @@ mod tests {
     fn correctness_precondition_reported() {
         let mut rng = StdRng::seed_from_u64(15);
         let g = generators::connected_gnp(30, 0.15, &mut rng);
-        let d = decompose(&g, &DecompositionOptions::default(), &mut rng);
-        assert!(union_correctness_precondition(&g, &d));
+        let d = padded_decomposition(&g, &DecompositionOptions::default(), &mut rng);
+        assert!(d.covers_all_edges(&g));
     }
 
     #[test]

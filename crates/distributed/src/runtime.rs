@@ -27,7 +27,7 @@ pub enum Model {
     Local,
     /// Messages of at most `words_per_message` words per edge per round.
     Congest {
-        /// Bandwidth per edge per round, in words (default 1 in
+        /// Bandwidth per edge per round, in words (3 in
         /// [`Model::congest`]).
         words_per_message: usize,
     },
@@ -236,12 +236,6 @@ impl<'g, M: Clone> Network<'g, M> {
         }
         executed
     }
-
-    /// Charges `rounds` silent rounds (no messages), used by algorithms that
-    /// need to account for idle synchronization time.
-    pub fn charge_rounds(&mut self, rounds: usize) {
-        self.stats.rounds += rounds;
-    }
 }
 
 #[cfg(test)]
@@ -329,15 +323,6 @@ mod tests {
         });
         // Round 1 sends one message; round 2 sends nothing and stops.
         assert_eq!(executed, 2);
-    }
-
-    #[test]
-    fn charge_rounds_adds_idle_rounds() {
-        let g = generators::path(2);
-        let mut net: Network<'_, u32> = Network::new(&g, Model::Local);
-        net.charge_rounds(9);
-        assert_eq!(net.stats().rounds, 9);
-        assert_eq!(net.stats().messages, 0);
     }
 
     #[test]

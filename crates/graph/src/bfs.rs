@@ -89,37 +89,6 @@ pub fn bfs_hop_distances<V: GraphView>(view: &V, source: VertexId) -> Vec<Option
     dist
 }
 
-/// Hop distance between `source` and `target`, or `None` if disconnected (or
-/// either endpoint is faulted).
-#[must_use]
-pub fn hop_distance<V: GraphView>(view: &V, source: VertexId, target: VertexId) -> Option<u32> {
-    if !view.contains_vertex(source) || !view.contains_vertex(target) {
-        return None;
-    }
-    if source == target {
-        return Some(0);
-    }
-    // Early-exit BFS.
-    let n = view.vertex_count();
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = Some(0);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()].expect("queued vertex must have a distance");
-        for (v, _) in view.neighbors(u) {
-            if dist[v.index()].is_none() {
-                if v == target {
-                    return Some(du + 1);
-                }
-                dist[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    None
-}
-
 /// Finds a shortest (by hop count) path from `source` to `target`, or `None`
 /// if no path exists in the view.
 #[must_use]
@@ -154,23 +123,6 @@ pub fn shortest_hop_path_within<V: GraphView>(
     HopBfsScratch::new()
         .find_path_into(view, source, target, max_hops, &mut path)
         .then_some(path)
-}
-
-/// Computes the eccentricity (maximum hop distance to any reachable vertex)
-/// of `source`, ignoring unreachable vertices. Returns `None` if `source` is
-/// faulted.
-#[must_use]
-pub fn eccentricity<V: GraphView>(view: &V, source: VertexId) -> Option<u32> {
-    if !view.contains_vertex(source) {
-        return None;
-    }
-    Some(
-        bfs_hop_distances(view, source)
-            .into_iter()
-            .flatten()
-            .max()
-            .unwrap_or(0),
-    )
 }
 
 /// Reusable buffers for repeated hop-bounded BFS runs.
@@ -438,12 +390,6 @@ impl HopBfsScratch {
         }
     }
 
-    /// Source of the currently held tree, if any.
-    #[must_use]
-    pub fn tree_source(&self) -> Option<VertexId> {
-        self.tree_source
-    }
-
     /// Hop distance from the tree's source to `v`, or `None` when `v` was
     /// out of the hop budget (or unreachable, or faulted, or no tree is
     /// held).
@@ -548,8 +494,7 @@ mod tests {
         view.block_vertex(vid(0));
         let dist = bfs_hop_distances(&view, vid(0));
         assert!(dist.iter().all(Option::is_none));
-        assert_eq!(hop_distance(&view, vid(0), vid(2)), None);
-        assert_eq!(eccentricity(&view, vid(0)), None);
+        assert!(shortest_hop_path(&view, vid(0), vid(2)).is_none());
     }
 
     #[test]
@@ -558,7 +503,8 @@ mod tests {
         for s in 0..9 {
             let dist = bfs_hop_distances(&g, vid(s));
             for (t, &expected) in dist.iter().enumerate() {
-                assert_eq!(hop_distance(&g, vid(s), vid(t)), expected);
+                let path = shortest_hop_path(&g, vid(s), vid(t));
+                assert_eq!(path.map(|p| p.hop_count() as u32), expected);
             }
         }
     }
@@ -630,7 +576,8 @@ mod tests {
         view.block_vertex(vid(4));
         view.block_vertex(vid(7));
         assert!(shortest_hop_path(&view, vid(0), vid(2)).is_none());
-        assert_eq!(hop_distance(&view, vid(0), vid(6)), Some(2));
+        let p = shortest_hop_path(&view, vid(0), vid(6)).unwrap();
+        assert_eq!(p.hop_count(), 2);
     }
 
     #[test]
@@ -640,13 +587,6 @@ mod tests {
         g.add_edge(1, 2, 3.0);
         let p = shortest_hop_path(&g, vid(0), vid(2)).unwrap();
         assert!((p.total_weight(&g) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eccentricity_of_path_endpoints() {
-        let g = path_graph(5);
-        assert_eq!(eccentricity(&g, vid(0)), Some(4));
-        assert_eq!(eccentricity(&g, vid(2)), Some(2));
     }
 
     #[test]
@@ -727,7 +667,7 @@ mod tests {
         let g = grid3x3();
         let mut tree = HopBfsScratch::new();
         tree.build_tree(&g, vid(0), 3);
-        assert_eq!(tree.tree_source(), Some(vid(0)));
+        assert_eq!(tree.tree_dist(vid(0)), Some(0));
         let mut out = HopPath::default();
         for t in 0..9 {
             let reference = shortest_hop_path_within(&g, vid(0), vid(t), 3);
@@ -778,7 +718,7 @@ mod tests {
         scratch.build_tree(&big, vid(0), 4);
         assert_eq!(scratch.tree_dist(vid(4)), Some(4));
         assert!(scratch.find_path_into(&big, vid(1), vid(2), 3, &mut out));
-        assert_eq!(scratch.tree_source(), None);
+        assert_eq!(scratch.tree_dist(vid(1)), None);
         assert_eq!(scratch.tree_dist(vid(4)), None);
     }
 

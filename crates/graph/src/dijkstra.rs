@@ -107,61 +107,6 @@ pub fn weighted_distance<V: GraphView>(
     d.is_finite().then_some(d)
 }
 
-/// Computes a shortest weighted path, returning `(total weight, vertices)`.
-///
-/// Returns `None` if the target is unreachable or either endpoint is faulted.
-#[must_use]
-pub fn shortest_weighted_path<V: GraphView>(
-    view: &V,
-    source: VertexId,
-    target: VertexId,
-) -> Option<(f64, Vec<VertexId>)> {
-    if !view.contains_vertex(source) || !view.contains_vertex(target) {
-        return None;
-    }
-    let n = view.vertex_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<VertexId>> = vec![None; n];
-    let mut settled = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
-    heap.push(HeapEntry {
-        distance: 0.0,
-        vertex: source,
-    });
-    while let Some(HeapEntry { distance, vertex }) = heap.pop() {
-        if settled[vertex.index()] {
-            continue;
-        }
-        settled[vertex.index()] = true;
-        if vertex == target {
-            break;
-        }
-        for (nbr, e) in view.neighbors(vertex) {
-            let cand = distance + view.edge_weight(e);
-            if cand < dist[nbr.index()] {
-                dist[nbr.index()] = cand;
-                parent[nbr.index()] = Some(vertex);
-                heap.push(HeapEntry {
-                    distance: cand,
-                    vertex: nbr,
-                });
-            }
-        }
-    }
-    if !dist[target.index()].is_finite() {
-        return None;
-    }
-    let mut path = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = parent[cur.index()].expect("path reconstruction must reach the source");
-        path.push(cur);
-    }
-    path.reverse();
-    Some((dist[target.index()], path))
-}
-
 /// A single-source shortest-path tree: distances and parent pointers from one
 /// source over a (possibly faulted) view.
 ///
@@ -455,17 +400,18 @@ mod tests {
     #[test]
     fn path_reconstruction_matches_distance() {
         let g = weighted_square();
-        let (w, path) = shortest_weighted_path(&g, vid(0), vid(3)).unwrap();
-        assert_eq!(w, 3.0);
+        let tree = DijkstraScratch::new().shortest_path_tree(&g, vid(0));
+        assert_eq!(tree.distance_to(vid(3)), Some(3.0));
+        let path = tree.path_to(vid(3)).unwrap();
         assert_eq!(path, vec![vid(0), vid(1), vid(2), vid(3)]);
     }
 
     #[test]
     fn path_to_self_is_trivial() {
         let g = weighted_square();
-        let (w, path) = shortest_weighted_path(&g, vid(2), vid(2)).unwrap();
-        assert_eq!(w, 0.0);
-        assert_eq!(path, vec![vid(2)]);
+        let tree = DijkstraScratch::new().shortest_path_tree(&g, vid(2));
+        assert_eq!(tree.distance_to(vid(2)), Some(0.0));
+        assert_eq!(tree.path_to(vid(2)).unwrap(), vec![vid(2)]);
     }
 
     #[test]
@@ -500,9 +446,10 @@ mod tests {
             assert_eq!(tree.distances()[v], expected);
             assert_eq!(tree.distance_to(vid(v)), Some(expected));
         }
-        let (w, path) = shortest_weighted_path(&g, vid(0), vid(3)).unwrap();
-        assert_eq!(tree.distance_to(vid(3)), Some(w));
-        assert_eq!(tree.path_to(vid(3)).unwrap(), path);
+        assert_eq!(
+            tree.distance_to(vid(3)),
+            weighted_distance(&g, vid(0), vid(3))
+        );
         assert_eq!(tree.source(), vid(0));
         assert_eq!(tree.vertex_count(), 4);
     }

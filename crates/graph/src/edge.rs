@@ -18,7 +18,7 @@ use crate::VertexId;
 ///
 /// let e = Edge::new(vid(0), vid(3), 2.5);
 /// assert_eq!(e.endpoints(), (vid(0), vid(3)));
-/// assert_eq!(e.other_endpoint(vid(3)), Some(vid(0)));
+/// assert!(e.is_incident_to(vid(3)));
 /// assert_eq!(e.weight(), 2.5);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,19 +79,6 @@ impl Edge {
     pub fn is_incident_to(&self, x: VertexId) -> bool {
         self.u == x || self.v == x
     }
-
-    /// Returns the endpoint opposite `x`, or `None` if `x` is not an endpoint.
-    #[inline]
-    #[must_use]
-    pub fn other_endpoint(&self, x: VertexId) -> Option<VertexId> {
-        if x == self.u {
-            Some(self.v)
-        } else if x == self.v {
-            Some(self.u)
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for Edge {
@@ -121,14 +108,11 @@ mod tests {
     }
 
     #[test]
-    fn incidence_and_other_endpoint() {
+    fn incidence_checks_both_endpoints() {
         let e = Edge::new(vid(3), vid(7), 2.0);
         assert!(e.is_incident_to(vid(3)));
         assert!(e.is_incident_to(vid(7)));
         assert!(!e.is_incident_to(vid(4)));
-        assert_eq!(e.other_endpoint(vid(3)), Some(vid(7)));
-        assert_eq!(e.other_endpoint(vid(7)), Some(vid(3)));
-        assert_eq!(e.other_endpoint(vid(0)), None);
     }
 
     #[test]

@@ -101,45 +101,6 @@ fn gnp_skip_sample<R: Rng + ?Sized>(n: usize, p: f64, g: &mut Graph, rng: &mut R
     }
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct edges chosen uniformly at
-/// random (unit weights).
-///
-/// # Panics
-///
-/// Panics if `m` exceeds the number of possible edges `n·(n−1)/2`.
-#[must_use]
-pub fn gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
-    let max_edges = n.saturating_mul(n.saturating_sub(1)) / 2;
-    assert!(
-        m <= max_edges,
-        "requested {m} edges but only {max_edges} are possible"
-    );
-    let mut g = Graph::new(n);
-    if n < 2 {
-        return g;
-    }
-    // Rejection sampling is fine as long as the graph is not nearly complete;
-    // fall back to shuffling all pairs when it is.
-    if (m as f64) < 0.6 * max_edges as f64 {
-        while g.edge_count() < m {
-            let u = rng.gen_range(0..n);
-            let v = rng.gen_range(0..n);
-            if u != v && !g.has_edge_between(u, v) {
-                g.add_unit_edge(u, v);
-            }
-        }
-    } else {
-        let mut pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
-            .collect();
-        pairs.shuffle(rng);
-        for &(u, v) in pairs.iter().take(m) {
-            g.add_unit_edge(u, v);
-        }
-    }
-    g
-}
-
 /// `G(n, p)` conditioned on connectivity by overlaying a uniformly random
 /// spanning tree (unit weights). The result always has at least `n − 1` edges.
 #[must_use]
@@ -542,22 +503,6 @@ mod tests {
             (density - 0.1).abs() < 0.02,
             "density {density} too far from 0.1"
         );
-    }
-
-    #[test]
-    fn gnm_has_exactly_m_edges() {
-        let mut r = rng(3);
-        for &m in &[0usize, 1, 10, 100, 190] {
-            let g = gnm(20, m, &mut r);
-            assert_eq!(g.edge_count(), m);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "possible")]
-    fn gnm_rejects_too_many_edges() {
-        let mut r = rng(4);
-        let _ = gnm(5, 11, &mut r);
     }
 
     #[test]

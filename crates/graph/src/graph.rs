@@ -372,17 +372,6 @@ impl Graph {
         Ok(id)
     }
 
-    /// Adds the given edge record (typically copied from another graph over
-    /// the same vertex set), returning its id in this graph.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Graph::try_add_edge`].
-    pub fn try_insert_edge(&mut self, edge: &Edge) -> Result<EdgeId> {
-        let (u, v) = edge.endpoints();
-        self.try_add_edge(u.index(), v.index(), edge.weight())
-    }
-
     /// Returns the sum of all edge weights.
     #[must_use]
     pub fn total_weight(&self) -> f64 {

@@ -7,9 +7,10 @@
 //!
 //! * [`Graph`] — an undirected simple graph with optional weights, stored as
 //!   an adjacency list with dense [`VertexId`]/[`EdgeId`] identifiers.
-//! * [`FaultView`] — a zero-copy view of `G \ F` for a growing set of vertex
-//!   and/or edge faults, behind the [`GraphView`] trait that all traversal
-//!   algorithms are generic over.
+//! * [`FaultView`] — a view of `G \ F` for a growing set of vertex and/or
+//!   edge faults, which copies no adjacency but allocates one flag per
+//!   vertex and per edge; it sits behind the [`GraphView`] trait that all
+//!   traversal algorithms are generic over.
 //! * [`bfs`] / [`dijkstra`] — hop-bounded breadth-first search (the inner
 //!   primitive of the paper's Length-Bounded Cut approximation) and weighted
 //!   shortest paths (used by the spanner verifier).
@@ -35,11 +36,12 @@
 //! g.add_unit_edge(3, 0);
 //! g.add_unit_edge(0, 2);
 //!
-//! // Distances in G and in G \ {v1}.
-//! assert_eq!(bfs::hop_distance(&g, vid(1), vid(3)), Some(2));
+//! // Distances from v1 in G and in G \ {v0}.
+//! assert_eq!(bfs::bfs_hop_distances(&g, vid(1))[3], Some(2));
 //! let mut faulted = FaultView::new(&g);
 //! faulted.block_vertex(vid(0));
-//! assert_eq!(bfs::hop_distance(&faulted, vid(1), vid(3)), Some(2));
+//! assert!(!faulted.contains_vertex(vid(0)));
+//! assert_eq!(bfs::bfs_hop_distances(&faulted, vid(1))[3], Some(2));
 //! ```
 
 #![forbid(unsafe_code)]

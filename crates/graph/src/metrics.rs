@@ -1,6 +1,5 @@
-//! Summary statistics for graphs: density, degree distribution, diameter.
+//! Summary statistics for graphs: size, degree range, density.
 
-use crate::bfs::bfs_hop_distances;
 use crate::{GraphView, VertexId};
 
 /// A compact statistical summary of a graph view, used by the experiment
@@ -56,69 +55,6 @@ pub fn summarize<V: GraphView>(view: &V) -> GraphSummary {
     }
 }
 
-/// Exact hop diameter of the view: the maximum hop distance over all pairs of
-/// live vertices in the same component. Returns `None` when there are no live
-/// vertices. Disconnected pairs are ignored.
-///
-/// Runs a BFS from every vertex (`O(n(m + n))`), fine for experiment-scale
-/// graphs; use [`estimate_diameter`] for large inputs.
-#[must_use]
-pub fn hop_diameter<V: GraphView>(view: &V) -> Option<u32> {
-    let mut best: Option<u32> = None;
-    for i in 0..view.vertex_count() {
-        let v = VertexId::new(i);
-        if !view.contains_vertex(v) {
-            continue;
-        }
-        let ecc = bfs_hop_distances(view, v)
-            .into_iter()
-            .flatten()
-            .max()
-            .unwrap_or(0);
-        best = Some(best.map_or(ecc, |b| b.max(ecc)));
-    }
-    best
-}
-
-/// Lower-bound estimate of the hop diameter via a double BFS sweep: BFS from
-/// `start`, then BFS from the farthest vertex found. Exact on trees and a
-/// 2-approximation in general.
-#[must_use]
-pub fn estimate_diameter<V: GraphView>(view: &V, start: VertexId) -> Option<u32> {
-    if !view.contains_vertex(start) {
-        return None;
-    }
-    let d1 = bfs_hop_distances(view, start);
-    let farthest = d1
-        .iter()
-        .enumerate()
-        .filter_map(|(i, d)| d.map(|d| (i, d)))
-        .max_by_key(|&(_, d)| d)
-        .map(|(i, _)| VertexId::new(i))?;
-    bfs_hop_distances(view, farthest)
-        .into_iter()
-        .flatten()
-        .max()
-}
-
-/// Degree histogram: entry `i` counts live vertices with degree exactly `i`.
-#[must_use]
-pub fn degree_histogram<V: GraphView>(view: &V) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for i in 0..view.vertex_count() {
-        let v = VertexId::new(i);
-        if !view.contains_vertex(v) {
-            continue;
-        }
-        let d = view.neighbors(v).count();
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,40 +92,5 @@ mod tests {
         assert_eq!(s.edges, 0);
         assert_eq!(s.density, 0.0);
         assert_eq!(s.average_degree, 0.0);
-    }
-
-    #[test]
-    fn diameter_of_path_and_star() {
-        let p = generators::path(6);
-        assert_eq!(hop_diameter(&p), Some(5));
-        assert_eq!(estimate_diameter(&p, vid(2)), Some(5));
-        let s = generators::star(6);
-        assert_eq!(hop_diameter(&s), Some(2));
-    }
-
-    #[test]
-    fn diameter_of_disconnected_graph_ignores_cross_pairs() {
-        let mut g = crate::Graph::new(4);
-        g.add_unit_edge(0, 1);
-        g.add_unit_edge(2, 3);
-        assert_eq!(hop_diameter(&g), Some(1));
-    }
-
-    #[test]
-    fn diameter_estimate_is_a_lower_bound() {
-        let g = generators::grid(5, 5);
-        let exact = hop_diameter(&g).unwrap();
-        let est = estimate_diameter(&g, vid(12)).unwrap();
-        assert!(est <= exact);
-        assert!(est >= exact / 2);
-    }
-
-    #[test]
-    fn degree_histogram_counts_each_vertex_once() {
-        let g = generators::star(5);
-        let hist = degree_histogram(&g);
-        // One hub of degree 4, four leaves of degree 1.
-        assert_eq!(hist, vec![0, 4, 0, 0, 1]);
-        assert_eq!(hist.iter().sum::<usize>(), 5);
     }
 }

@@ -1,140 +1,22 @@
-//! Connectivity queries: reachability, connected components, spanning forests.
+//! Connectivity of graph views.
 
-use std::collections::VecDeque;
-
-use crate::{EdgeId, GraphView, VertexId};
-
-/// Returns, for each vertex, whether it is reachable from `source` in the view.
-///
-/// Faulted vertices are never reachable; a faulted `source` reaches nothing.
-#[must_use]
-pub fn reachable_from<V: GraphView>(view: &V, source: VertexId) -> Vec<bool> {
-    let n = view.vertex_count();
-    let mut seen = vec![false; n];
-    if !view.contains_vertex(source) {
-        return seen;
-    }
-    let mut queue = VecDeque::new();
-    seen[source.index()] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for (v, _) in view.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    seen
-}
-
-/// Labels every live vertex with a component id in `0..component_count`;
-/// faulted vertices are labelled `None`.
-///
-/// Component ids are assigned in increasing order of the smallest vertex id
-/// they contain, so the labelling is deterministic.
-#[must_use]
-pub fn connected_components<V: GraphView>(view: &V) -> ComponentLabeling {
-    let n = view.vertex_count();
-    let mut label: Vec<Option<usize>> = vec![None; n];
-    let mut count = 0;
-    let mut queue = VecDeque::new();
-    for start in 0..n {
-        let start_v = VertexId::new(start);
-        if !view.contains_vertex(start_v) || label[start].is_some() {
-            continue;
-        }
-        label[start] = Some(count);
-        queue.push_back(start_v);
-        while let Some(u) = queue.pop_front() {
-            for (v, _) in view.neighbors(u) {
-                if label[v.index()].is_none() {
-                    label[v.index()] = Some(count);
-                    queue.push_back(v);
-                }
-            }
-        }
-        count += 1;
-    }
-    ComponentLabeling { label, count }
-}
-
-/// The result of [`connected_components`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ComponentLabeling {
-    label: Vec<Option<usize>>,
-    count: usize,
-}
-
-impl ComponentLabeling {
-    /// Number of connected components among the live vertices.
-    #[must_use]
-    pub fn component_count(&self) -> usize {
-        self.count
-    }
-
-    /// Component id of `v`, or `None` if `v` is faulted (or out of range).
-    #[must_use]
-    pub fn component_of(&self, v: VertexId) -> Option<usize> {
-        self.label.get(v.index()).copied().flatten()
-    }
-
-    /// Returns `true` if `u` and `v` are live and in the same component.
-    #[must_use]
-    pub fn same_component(&self, u: VertexId, v: VertexId) -> bool {
-        match (self.component_of(u), self.component_of(v)) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    }
-
-    /// Lists the vertices of each component, indexed by component id.
-    #[must_use]
-    pub fn components(&self) -> Vec<Vec<VertexId>> {
-        let mut out = vec![Vec::new(); self.count];
-        for (i, lab) in self.label.iter().enumerate() {
-            if let Some(c) = lab {
-                out[*c].push(VertexId::new(i));
-            }
-        }
-        out
-    }
-}
+use crate::bfs::bfs_hop_distances;
+use crate::{GraphView, VertexId};
 
 /// Returns `true` if all live vertices of the view are in one component.
 ///
-/// A view with zero or one live vertices counts as connected.
+/// A view with zero or one live vertices counts as connected. Faulted
+/// vertices are ignored; one BFS from the first live vertex decides.
 #[must_use]
 pub fn is_connected<V: GraphView>(view: &V) -> bool {
-    connected_components(view).component_count() <= 1
-}
-
-/// Computes a spanning forest of the view as a list of edge ids (one BFS tree
-/// per component).
-#[must_use]
-pub fn spanning_forest<V: GraphView>(view: &V) -> Vec<EdgeId> {
-    let n = view.vertex_count();
-    let mut seen = vec![false; n];
-    let mut forest = Vec::new();
-    let mut queue = VecDeque::new();
-    for start in 0..n {
-        let start_v = VertexId::new(start);
-        if !view.contains_vertex(start_v) || seen[start] {
-            continue;
-        }
-        seen[start] = true;
-        queue.push_back(start_v);
-        while let Some(u) = queue.pop_front() {
-            for (v, e) in view.neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    forest.push(e);
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    forest
+    let mut live = (0..view.vertex_count())
+        .map(VertexId::new)
+        .filter(|&v| view.contains_vertex(v));
+    let Some(start) = live.next() else {
+        return true;
+    };
+    let dist = bfs_hop_distances(view, start);
+    live.all(|v| dist[v.index()].is_some())
 }
 
 #[cfg(test)]
@@ -153,30 +35,23 @@ mod tests {
     #[test]
     fn reachability_respects_components() {
         let g = two_triangles();
-        let r = reachable_from(&g, vid(0));
-        assert_eq!(r, vec![true, true, true, false, false, false]);
+        assert!(!is_connected(&g));
+        // Faulting one whole triangle leaves the other, which is connected.
+        let view = FaultView::with_blocked_vertices(&g, [vid(3), vid(4), vid(5)]);
+        assert!(is_connected(&view));
+        // A bridge between the triangles joins them.
+        let mut bridged = two_triangles();
+        bridged.add_unit_edge(2, 3);
+        assert!(is_connected(&bridged));
     }
 
     #[test]
-    fn reachability_from_faulted_source_is_empty() {
-        let g = two_triangles();
-        let mut view = FaultView::new(&g);
-        view.block_vertex(vid(0));
-        assert!(reachable_from(&view, vid(0)).iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn component_labels_and_count() {
-        let g = two_triangles();
-        let comp = connected_components(&g);
-        assert_eq!(comp.component_count(), 2);
-        assert_eq!(comp.component_of(vid(0)), Some(0));
-        assert_eq!(comp.component_of(vid(5)), Some(1));
-        assert!(comp.same_component(vid(0), vid(2)));
-        assert!(!comp.same_component(vid(0), vid(3)));
-        let groups = comp.components();
-        assert_eq!(groups[0], vec![vid(0), vid(1), vid(2)]);
-        assert_eq!(groups[1], vec![vid(3), vid(4), vid(5)]);
+    fn faulted_first_vertex_does_not_break_connectivity() {
+        let mut g = Graph::new(3);
+        g.add_unit_edge(0, 1);
+        g.add_unit_edge(1, 2);
+        let view = FaultView::with_blocked_vertices(&g, [vid(0)]);
+        assert!(is_connected(&view));
     }
 
     #[test]
@@ -184,11 +59,15 @@ mod tests {
         let g = two_triangles();
         let mut view = FaultView::new(&g);
         view.block_vertex(vid(1));
-        let comp = connected_components(&view);
-        assert_eq!(comp.component_of(vid(1)), None);
-        assert!(!comp.same_component(vid(1), vid(0)));
         // Triangle 0-1-2 with 1 removed is still connected through edge {0,2}.
-        assert_eq!(comp.component_count(), 2);
+        assert!(!is_connected(&view));
+        for v in [3, 4, 5] {
+            view.block_vertex(vid(v));
+        }
+        assert!(is_connected(&view));
+        // An edge fault can split what a vertex fault left whole.
+        view.block_edge(g.edge_between(vid(0), vid(2)).unwrap());
+        assert!(!is_connected(&view));
     }
 
     #[test]
@@ -208,26 +87,8 @@ mod tests {
         assert!(is_connected(&Graph::new(1)));
         let g = Graph::new(2);
         assert!(!is_connected(&g));
-    }
-
-    #[test]
-    fn spanning_forest_size_matches_components() {
-        let g = two_triangles();
-        let forest = spanning_forest(&g);
-        // n - (#components) edges: 6 - 2 = 4.
-        assert_eq!(forest.len(), 4);
-        let sub = g.edge_subgraph(forest);
-        let comp = connected_components(&sub);
-        assert_eq!(comp.component_count(), 2);
-    }
-
-    #[test]
-    fn spanning_forest_respects_faults() {
-        let g = two_triangles();
-        let mut view = FaultView::new(&g);
-        view.block_vertex(vid(3));
-        let forest = spanning_forest(&view);
-        // Components among live vertices: {0,1,2} and {4,5} -> 2 + 1 edges.
-        assert_eq!(forest.len(), 3);
+        // Every vertex faulted: no live vertex, so connected.
+        let view = FaultView::with_blocked_vertices(&g, [vid(0), vid(1)]);
+        assert!(is_connected(&view));
     }
 }

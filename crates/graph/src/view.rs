@@ -284,19 +284,6 @@ impl<'g> FaultView<'g> {
         view
     }
 
-    /// Creates a view with the given edges already blocked.
-    #[must_use]
-    pub fn with_blocked_edges<I>(graph: &'g Graph, edges: I) -> Self
-    where
-        I: IntoIterator<Item = EdgeId>,
-    {
-        let mut view = Self::new(graph);
-        for e in edges {
-            view.block_edge(e);
-        }
-        view
-    }
-
     /// The underlying graph.
     #[inline]
     #[must_use]
@@ -321,22 +308,6 @@ impl<'g> FaultView<'g> {
         }
     }
 
-    /// Unblocks vertex `v`. Returns `true` if the vertex had been blocked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range for the underlying graph.
-    pub fn unblock_vertex(&mut self, v: VertexId) -> bool {
-        let slot = &mut self.vertex_blocked[v.index()];
-        if *slot {
-            *slot = false;
-            self.blocked_vertex_count -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Blocks (removes) edge `e`. Returns `true` if the edge was newly blocked.
     ///
     /// # Panics
@@ -350,22 +321,6 @@ impl<'g> FaultView<'g> {
             *slot = true;
             self.blocked_edge_count += 1;
             true
-        }
-    }
-
-    /// Unblocks edge `e`. Returns `true` if the edge had been blocked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range for the underlying graph.
-    pub fn unblock_edge(&mut self, e: EdgeId) -> bool {
-        let slot = &mut self.edge_blocked[e.index()];
-        if *slot {
-            *slot = false;
-            self.blocked_edge_count -= 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -403,24 +358,6 @@ impl<'g> FaultView<'g> {
     #[must_use]
     pub fn is_edge_blocked(&self, e: EdgeId) -> bool {
         self.edge_blocked[e.index()]
-    }
-
-    /// Iterates over the currently blocked vertices.
-    pub fn blocked_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertex_blocked
-            .iter()
-            .enumerate()
-            .filter(|&(_i, &b)| b)
-            .map(|(i, &_b)| VertexId::new(i))
-    }
-
-    /// Iterates over the currently blocked edges.
-    pub fn blocked_edges(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        self.edge_blocked
-            .iter()
-            .enumerate()
-            .filter(|&(_i, &b)| b)
-            .map(|(i, &_b)| EdgeId::new(i))
     }
 }
 
@@ -701,15 +638,6 @@ impl Graph {
         let remap = IdRemap::from_members(self.vertex_count(), &original_of);
         (sub, remap)
     }
-
-    /// Builds the induced subgraph on `core` plus its hop-`radius` halo,
-    /// together with the id mapping: the region a shard serves locally. A
-    /// disconnected core vertex still belongs to its own region.
-    #[must_use]
-    pub fn induced_subgraph_with_halo(&self, core: &[VertexId], radius: u32) -> (Graph, IdRemap) {
-        let members = self.halo_members(core, radius);
-        self.induced_subgraph_remap(&members)
-    }
 }
 
 #[cfg(test)]
@@ -765,32 +693,18 @@ mod tests {
     }
 
     #[test]
-    fn block_and_unblock_round_trip() {
-        let g = cycle(4);
-        let mut view = FaultView::new(&g);
-        assert!(view.block_vertex(vid(2)));
-        assert!(!view.block_vertex(vid(2)));
-        assert_eq!(view.blocked_vertex_count(), 1);
-        assert!(view.unblock_vertex(vid(2)));
-        assert!(!view.unblock_vertex(vid(2)));
-        assert_eq!(view.blocked_vertex_count(), 0);
-        assert_eq!(view.neighbors(vid(1)).count(), 2);
-
-        let e = g.edge_between(vid(0), vid(1)).unwrap();
-        assert!(view.block_edge(e));
-        assert!(!view.block_edge(e));
-        assert_eq!(view.blocked_edge_count(), 1);
-        assert!(view.unblock_edge(e));
-        assert_eq!(view.blocked_edge_count(), 0);
-    }
-
-    #[test]
     fn clear_restores_full_graph() {
         let g = cycle(6);
         let mut view = FaultView::with_blocked_vertices(&g, [vid(0), vid(3)]);
-        view.block_edge(g.edge_between(vid(1), vid(2)).unwrap());
+        let e = g.edge_between(vid(1), vid(2)).unwrap();
+        assert!(view.block_edge(e));
+        assert!(!view.block_edge(e), "re-blocking reports false");
+        assert!(!view.block_vertex(vid(3)), "re-blocking reports false");
+        assert_eq!(view.blocked_vertex_count(), 2);
+        assert_eq!(view.blocked_edge_count(), 1);
         assert_eq!(view.live_vertex_count(), 4);
         view.clear();
+        assert_eq!(view.blocked_vertex_count(), 0);
         assert_eq!(view.live_vertex_count(), 6);
         assert_eq!(view.blocked_edge_count(), 0);
         assert_eq!(view.neighbors(vid(1)).count(), 2);
@@ -799,16 +713,11 @@ mod tests {
     #[test]
     fn constructors_with_initial_faults() {
         let g = cycle(5);
-        let view = FaultView::with_blocked_vertices(&g, [vid(1), vid(2)]);
+        let view = FaultView::with_blocked_vertices(&g, [vid(1), vid(2), vid(1)]);
         assert_eq!(view.blocked_vertex_count(), 2);
-        let blocked: Vec<_> = view.blocked_vertices().collect();
-        assert_eq!(blocked, vec![vid(1), vid(2)]);
-
-        let e0 = g.edge_between(vid(0), vid(1)).unwrap();
-        let view = FaultView::with_blocked_edges(&g, [e0]);
-        assert_eq!(view.blocked_edge_count(), 1);
-        let blocked: Vec<_> = view.blocked_edges().collect();
-        assert_eq!(blocked, vec![e0]);
+        let blocked: Vec<_> = (0..5).filter(|&v| view.is_vertex_blocked(vid(v))).collect();
+        assert_eq!(blocked, vec![1, 2]);
+        assert_eq!(view.blocked_edge_count(), 0);
     }
 
     #[test]
@@ -823,7 +732,12 @@ mod tests {
 
     /// The fingerprint of a view's current fault set.
     fn fingerprint(view: &FaultView<'_>) -> u64 {
-        fault_fingerprint(view.blocked_vertices(), view.blocked_edges())
+        let graph = view.graph();
+        let vertices = graph.vertices().filter(|&v| view.is_vertex_blocked(v));
+        let edges = (0..graph.edge_count())
+            .map(EdgeId::new)
+            .filter(|&e| view.is_edge_blocked(e));
+        fault_fingerprint(vertices, edges)
     }
 
     #[test]
@@ -841,11 +755,11 @@ mod tests {
         // Lifting one fault returns to the single-fault fingerprint.
         let mut single = FaultView::new(&g);
         single.block_vertex(vid(1));
-        a.unblock_vertex(vid(4));
-        assert_eq!(fingerprint(&a), fingerprint(&single));
+        let lifted = fingerprint(&a) ^ fault_fingerprint([vid(4)], []);
+        assert_eq!(lifted, fingerprint(&single));
         // Re-blocking an already blocked element must not change anything.
-        a.block_vertex(vid(1));
-        assert_eq!(fingerprint(&a), fingerprint(&single));
+        single.block_vertex(vid(1));
+        assert_eq!(lifted, fingerprint(&single));
     }
 
     #[test]
@@ -906,7 +820,7 @@ mod tests {
         g.add_edge(2, 3, 1.0);
         g.add_edge(3, 4, 1.0);
         g.add_edge(4, 5, 1.0);
-        let (sub, remap) = g.induced_subgraph_with_halo(&[vid(1)], 1);
+        let (sub, remap) = g.induced_subgraph_remap(&g.halo_members(&[vid(1)], 1));
         assert_eq!(remap.members(), &[vid(0), vid(1), vid(2)]);
         assert_eq!(sub.vertex_count(), 3);
         assert_eq!(sub.edge_count(), 2);
@@ -917,10 +831,10 @@ mod tests {
             )
             .unwrap();
         assert_eq!(sub.weight(e), 3.0);
-        // Plain remapped induction on an explicit member list agrees.
-        let (sub2, remap2) = g.induced_subgraph_remap(&[vid(0), vid(1), vid(2)]);
-        assert_eq!(sub2.edge_count(), sub.edge_count());
-        assert_eq!(remap2.members(), remap.members());
+        // Duplicate members keep their first position.
+        let (sub2, remap2) = g.induced_subgraph_remap(&[vid(2), vid(1), vid(2)]);
+        assert_eq!(sub2.edge_count(), 1);
+        assert_eq!(remap2.members(), &[vid(2), vid(1)]);
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// Fraction of submitted tickets shed (0 when nothing was submitted).
     #[must_use]
-    pub fn shed_rate(&self) -> f64 {
+    fn shed_rate(&self) -> f64 {
         if self.submitted == 0 {
             0.0
         } else {

@@ -329,7 +329,6 @@ impl WaveJournal {
 pub struct Replica<O> {
     oracle: O,
     churn: ChurnConfig,
-    entries_applied: u64,
 }
 
 impl<O: SpannerOracle + Snapshottable> Replica<O> {
@@ -347,11 +346,7 @@ impl<O: SpannerOracle + Snapshottable> Replica<O> {
     /// oracle as a replica.
     #[must_use]
     pub fn from_oracle(oracle: O, churn: ChurnConfig) -> Self {
-        Self {
-            oracle,
-            churn,
-            entries_applied: 0,
-        }
+        Self { oracle, churn }
     }
 
     /// The replica's current epoch.
@@ -371,12 +366,6 @@ impl<O: SpannerOracle + Snapshottable> Replica<O> {
     #[must_use]
     pub fn into_oracle(self) -> O {
         self.oracle
-    }
-
-    /// How many journal entries this replica has replayed.
-    #[must_use]
-    pub fn entries_applied(&self) -> u64 {
-        self.entries_applied
     }
 
     /// How many entries the replica is behind `journal`'s head.
@@ -411,7 +400,6 @@ impl<O: SpannerOracle + Snapshottable> Replica<O> {
                 found,
             });
         }
-        self.entries_applied += 1;
         Ok(report)
     }
 

@@ -464,13 +464,6 @@ impl ServiceJournal {
             .map(<[JournalEntry]>::to_vec)
     }
 
-    /// A point-in-time copy of the whole journal (e.g. for
-    /// [`WaveJournal::encode`]).
-    #[must_use]
-    pub fn to_journal(&self) -> WaveJournal {
-        self.lock().clone()
-    }
-
     /// Blocks until at least one entry past `epoch` exists, then returns
     /// every such entry; an empty vec means `timeout` elapsed first. The
     /// caller's `epoch` must be at or past [`ServiceJournal::base_epoch`].
